@@ -117,7 +117,7 @@ func (p Preset) HeavyOpts() Options {
 // BenchmarkCount predicts the number of results a suite run emits — used by
 // -list and pinned to the real suite by test, so the two can never drift.
 func (p Preset) BenchmarkCount() int {
-	perMatrix := 2*len(suiteMethods()) + len(convertMethods()) + 6 // kernels serial+parallel, conversions, features+predict+serve+serve-shadow+session cold/warm
+	perMatrix := 2*len(suiteMethods()) + len(convertMethods()) + 7 // kernels serial+parallel, conversions, parse+features+predict+serve+serve-shadow+session cold/warm
 	return len(p.Matrices)*perMatrix + len(pipelineStages)
 }
 

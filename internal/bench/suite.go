@@ -280,7 +280,7 @@ func (sr *suiteRun) perMatrixBenches(span *obs.Span, specs []MatrixSpec, matrice
 	defer srv.close()
 	// Helpers no-op once the run has failed or been cancelled, so the group
 	// loop can finish cleanly and every span ends.
-	for gi, group := range []string{"kernels", "convert", "features", "predict", "serve", "session"} {
+	for gi, group := range []string{"kernels", "convert", "parse", "features", "predict", "serve", "session"} {
 		sp := span.Child(group)
 		for i, spec := range specs {
 			switch gi {
@@ -289,12 +289,14 @@ func (sr *suiteRun) perMatrixBenches(span *obs.Span, specs []MatrixSpec, matrice
 			case 1:
 				sr.convertBenches(spec, matrices[i])
 			case 2:
-				sr.featureBench(spec, matrices[i])
+				sr.parseBench(spec, matrices[i])
 			case 3:
-				sr.predictBench(spec, matrices[i], w)
+				sr.featureBench(spec, matrices[i])
 			case 4:
-				sr.serveBench(spec, matrices[i], srv)
+				sr.predictBench(spec, matrices[i], w)
 			case 5:
+				sr.serveBench(spec, matrices[i], srv)
+			case 6:
 				sr.sessionBench(spec, matrices[i], srv)
 			}
 		}
@@ -345,6 +347,27 @@ func (sr *suiteRun) convertBench(spec MatrixSpec, m *matrix.CSR, method kernels.
 	rowBlock := sr.mach.RowBlock
 	name := fmt.Sprintf("convert/%s/%s", spec.Name, method)
 	sr.measure(name, "convert", sr.opts, func() { kernels.Build(m, method, rowBlock) })
+}
+
+// parseBench times the MatrixMarket reader over the body the serve
+// benchmarks upload, so the serve round trip can be split into its layers.
+func (sr *suiteRun) parseBench(spec MatrixSpec, m *matrix.CSR) {
+	if sr.failed() {
+		return
+	}
+	var body bytes.Buffer
+	if err := matrix.WriteMatrixMarket(&body, m); err != nil {
+		sr.failf("bench: serializing %s: %w", spec.Name, err)
+		return
+	}
+	payload := body.Bytes()
+	lim := matrix.DefaultReadLimits()
+	name := fmt.Sprintf("parse/%s/read", spec.Name)
+	sr.measure(name, "parse", sr.opts, func() {
+		if _, err := matrix.ReadMatrixMarketLimited(bytes.NewReader(payload), lim); err != nil {
+			sr.failf("bench: %s: %w", name, err)
+		}
+	})
 }
 
 // featureBench times the Table 2 feature pass (ctx-aware, the serving path).

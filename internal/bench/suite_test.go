@@ -51,7 +51,7 @@ func TestRunSuiteShapeIsDeterministic(t *testing.T) {
 	for _, g := range a.Groups() {
 		groups[g] = true
 	}
-	for _, want := range []string{"pipeline", "kernels", "convert", "features", "predict", "serve", "session"} {
+	for _, want := range []string{"pipeline", "kernels", "convert", "parse", "features", "predict", "serve", "session"} {
 		if !groups[want] {
 			t.Errorf("suite missing group %q (have %v)", want, a.Groups())
 		}

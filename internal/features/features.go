@@ -8,6 +8,8 @@ package features
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"wise/internal/matrix"
 	"wise/internal/stats"
@@ -17,19 +19,55 @@ import (
 // GrX_potReuse features (paper Section 4.2).
 var GroupSizes = []int{4, 8, 16, 32, 64}
 
-// groupNames holds the per-group feature names, formatted once at package
-// init so Extract's loops stay allocation-free on the hot path.
-var groupNames = func() map[int][4]string {
-	m := make(map[int][4]string, len(GroupSizes))
-	for _, x := range GroupSizes {
-		m[x] = [4]string{
-			fmt.Sprintf("gr%d_uniqR", x),
-			fmt.Sprintf("gr%d_uniqC", x),
-			fmt.Sprintf("gr%d_potReuseR", x),
-			fmt.Sprintf("gr%d_potReuseC", x),
+// groupSlots is the number of group widths the locality counts are kept
+// for: X = 1 in slot 0, then GroupSizes in order.
+const groupSlots = 6
+
+// groupShifts holds log2 of the width in every group slot. Group widths are
+// powers of two, so "same group" tests are shifts, and ascending, so a pair
+// already seen at one width is seen at every wider one.
+var groupShifts = func() [groupSlots]uint {
+	if len(GroupSizes) != groupSlots-1 {
+		panic(fmt.Sprintf("features: %d group sizes, want %d", len(GroupSizes), groupSlots-1))
+	}
+	var shifts [groupSlots]uint
+	for k, x := range GroupSizes {
+		if x <= 0 || x&(x-1) != 0 {
+			panic(fmt.Sprintf("features: group size %d is not a power of two", x))
+		}
+		shifts[k+1] = uint(bits.TrailingZeros(uint(x)))
+		if shifts[k+1] <= shifts[k] {
+			panic(fmt.Sprintf("features: group sizes %v are not ascending", GroupSizes))
 		}
 	}
-	return m
+	return shifts
+}()
+
+// distributions are the five nonzero distributions of Table 2, in feature
+// order, and summaryStats the statistics each is summarized by.
+var (
+	distributions = []string{"R", "C", "T", "RB", "CB"}
+	summaryStats  = []string{"mu_", "sigma_", "var_", "gini_", "p_", "min_", "max_", "ne_"}
+)
+
+// featureNames is the fixed feature layout, built once so extraction
+// allocates no strings.
+var featureNames = func() []string {
+	names := []string{"n_rows", "n_cols", "nnz"}
+	for _, dist := range distributions {
+		for _, stat := range summaryStats {
+			names = append(names, stat+dist)
+		}
+	}
+	names = append(names, "uniqR", "uniqC")
+	for _, x := range GroupSizes {
+		names = append(names, fmt.Sprintf("gr%d_uniqR", x), fmt.Sprintf("gr%d_uniqC", x))
+	}
+	names = append(names, "potReuseR", "potReuseC")
+	for _, x := range GroupSizes {
+		names = append(names, fmt.Sprintf("gr%d_potReuseR", x), fmt.Sprintf("gr%d_potReuseC", x))
+	}
+	return names
 }()
 
 // Config controls feature extraction.
@@ -95,64 +133,11 @@ func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error
 	if cfg.K < 1 {
 		cfg.K = 1
 	}
-	f := Features{
-		Names:  make([]string, 0, FeatureCount()),
-		Values: make([]float64, 0, FeatureCount()),
-	}
-	add := func(name string, v float64) {
-		f.Names = append(f.Names, name)
-		f.Values = append(f.Values, v)
-	}
-	addSummary := func(dist string, s stats.Summary) {
-		add("mu_"+dist, s.Mean)
-		add("sigma_"+dist, s.Std)
-		add("var_"+dist, s.Variance)
-		add("gini_"+dist, s.Gini)
-		add("p_"+dist, s.PRatio)
-		add("min_"+dist, s.Min)
-		add("max_"+dist, s.Max)
-		add("ne_"+dist, float64(s.NonEmpty))
-	}
-
-	// (1) Size properties.
-	nnz := int64(m.NNZ())
-	add("n_rows", float64(m.Rows))
-	add("n_cols", float64(m.Cols))
-	add("nnz", float64(nnz))
-
-	// (2) Skew: R and C distributions.
 	if err := ctx.Err(); err != nil {
 		return Features{}, fmt.Errorf("features: extract: %w", err)
 	}
-	rowCounts := m.RowCounts()
-	colCounts := m.ColCounts()
-	addSummary("R", stats.Summarize(rowCounts))
-	addSummary("C", stats.Summarize(colCounts))
-
-	// (3) Locality: tiling and T/RB/CB distributions.
 	t := newTiling(m.Rows, m.Cols, cfg.K)
-	tileCounts := make([]int64, t.kr*t.kc)
-	rbCounts := make([]int64, t.kr)
-	cbCounts := make([]int64, t.kc)
-	for i := 0; i < m.Rows; i++ {
-		if i%ctxCheckRows == 0 && ctx.Err() != nil {
-			return Features{}, fmt.Errorf("features: extract: %w", ctx.Err())
-		}
-		tr := i / t.tileRows
-		cols, _ := m.Row(i)
-		rbCounts[tr] += int64(len(cols))
-		for _, c := range cols {
-			tc := int(c) / t.tileCols
-			tileCounts[tr*t.kc+tc]++
-			cbCounts[tc]++
-		}
-	}
-	addSummary("T", stats.Summarize(tileCounts))
-	addSummary("RB", stats.Summarize(rbCounts))
-	addSummary("CB", stats.Summarize(cbCounts))
-
-	// Tile-layout features: unique rows/cols and reuse potential.
-	rowSide, err := rowSideCounts(ctx, m, t)
+	w, err := walkRows(ctx, m, t)
 	if err != nil {
 		return Features{}, err
 	}
@@ -160,27 +145,33 @@ func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error
 	if err != nil {
 		return Features{}, err
 	}
+
+	// (1) Size properties.
+	nnz := int64(m.NNZ())
+	v := make([]float64, 0, FeatureCount())
+	v = append(v, float64(m.Rows), float64(m.Cols), float64(nnz))
+
+	// (2) Skew: R and C distributions; (3) locality: T/RB/CB distributions.
+	for _, counts := range [][]int64{w.rowCounts, w.colCounts, w.tileCounts, w.rbCounts, w.cbCounts} {
+		s := stats.Summarize(counts)
+		v = append(v, s.Mean, s.Std, s.Variance, s.Gini, s.PRatio, s.Min, s.Max, float64(s.NonEmpty))
+	}
+
+	// Tile-layout features: unique rows/cols and reuse potential.
 	denomNNZ := float64(nnz)
 	if nnz == 0 {
 		denomNNZ = 1
 	}
-	add("uniqR", float64(rowSide[1])/denomNNZ)
-	add("uniqC", float64(colSide[1])/denomNNZ)
-	for _, x := range GroupSizes {
-		names := groupNames[x]
-		add(names[0], float64(rowSide[x])/denomNNZ)
-		add(names[1], float64(colSide[x])/denomNNZ)
+	for g := range groupSlots {
+		v = append(v, float64(w.rowSide[g])/denomNNZ, float64(colSide[g])/denomNNZ)
 	}
-	add("potReuseR", float64(rowSide[1])/float64(maxInt(m.Rows, 1)))
-	add("potReuseC", float64(colSide[1])/float64(maxInt(m.Cols, 1)))
-	for _, x := range GroupSizes {
+	for g, s := range groupShifts {
+		x := 1 << s
 		nGroupsR := (m.Rows + x - 1) / x
 		nGroupsC := (m.Cols + x - 1) / x
-		names := groupNames[x]
-		add(names[2], float64(rowSide[x])/float64(maxInt(nGroupsR, 1)))
-		add(names[3], float64(colSide[x])/float64(maxInt(nGroupsC, 1)))
+		v = append(v, float64(w.rowSide[g])/float64(max(nGroupsR, 1)), float64(colSide[g])/float64(max(nGroupsC, 1)))
 	}
-	return f, nil
+	return Features{Names: slices.Clone(featureNames), Values: v}, nil
 }
 
 // tiling describes the logical K x K grid over a matrix.
@@ -209,93 +200,123 @@ func newTiling(rows, cols, k int) tiling {
 	return tiling{tileRows: tr, tileCols: tc, kr: kr, kc: kc}
 }
 
-// rowSideCounts returns, for every group size X in {1} + GroupSizes, the
-// number of distinct (tile, row-group) pairs with at least one nonzero.
-// With X = 1 this is the sum over tiles of uniqR_i; for larger X it is the
-// sum of GrX_uniqR_i, and divided by the group count it equals the mean
-// GrX_potReuseR. The computation streams rows in ascending order, so the
-// "last row-group seen per tile" dedupe is exact.
-func rowSideCounts(ctx context.Context, m *matrix.CSR, t tiling) (map[int]int64, error) {
-	xs := append([]int{1}, GroupSizes...)
-	counts := make(map[int]int64, len(xs))
-	lastRow := make([]int64, t.kr*t.kc)
-	for i := range lastRow {
-		lastRow[i] = -1
+// rowWalk holds everything one row-ordered pass over the nonzeros counts:
+// the R, C, T, RB and CB distributions, and the row-side locality counts.
+type rowWalk struct {
+	rowCounts, colCounts, tileCounts, rbCounts, cbCounts []int64
+	// rowSide[g] is the number of distinct (tile, row-group) pairs holding a
+	// nonzero, for the group width of slot g. Slot 0 (X = 1) is the sum over
+	// tiles of uniqR_i; for larger X it is the sum of GrX_uniqR_i, and
+	// divided by the group count it equals the mean GrX_potReuseR.
+	rowSide [groupSlots]int64
+}
+
+// walkRows makes the one row-ordered pass behind the skew, tile and
+// row-side locality features. Rows ascend, so remembering the last row
+// that touched each tile dedupes (tile, row-group) pairs exactly: the pair
+// is new at width 2^s when the last row and this one differ above bit s,
+// that is when bits.Len(last^i) > s. The walk keeps a histogram of that
+// length, capped at one past the widest shift, and sums it per slot at the
+// end.
+func walkRows(ctx context.Context, m *matrix.CSR, t tiling) (rowWalk, error) {
+	w := rowWalk{
+		rowCounts:  make([]int64, m.Rows),
+		colCounts:  make([]int64, m.Cols),
+		tileCounts: make([]int64, t.kr*t.kc),
+		rbCounts:   make([]int64, t.kr),
+		cbCounts:   make([]int64, t.kc),
 	}
+	// lenHist is sized for any bits.Len result, so a wider GroupSizes needs
+	// no change here.
+	capLen := int(groupShifts[groupSlots-1]) + 1
+	var lenHist [bits.UintSize + 1]int64
+	lastRow := make([]int, t.kr*t.kc) // 1 + the last row seen per tile; 0 = none
 	for i := 0; i < m.Rows; i++ {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("features: extract: %w", ctx.Err())
+			return rowWalk{}, fmt.Errorf("features: extract: %w", ctx.Err())
 		}
-		tr := i / t.tileRows
 		cols, _ := m.Row(i)
+		tr := i / t.tileRows
+		w.rowCounts[i] = int64(len(cols))
+		w.rbCounts[tr] += int64(len(cols))
+		tileRow := w.tileCounts[tr*t.kc : (tr+1)*t.kc]
+		lastRowOf := lastRow[tr*t.kc : (tr+1)*t.kc]
 		prevTC := -1
 		for _, c := range cols {
+			w.colCounts[c]++
 			tc := int(c) / t.tileCols
+			tileRow[tc]++
 			if tc == prevTC {
 				continue // same tile as previous nonzero of this row
 			}
 			prevTC = tc
-			tile := tr*t.kc + tc
-			last := lastRow[tile]
-			for _, x := range xs {
-				if last < 0 || last/int64(x) != int64(i)/int64(x) {
-					counts[x]++
-				}
+			l := capLen
+			if last := lastRowOf[tc]; last != 0 {
+				l = min(bits.Len(uint((last-1)^i)), capLen)
 			}
-			lastRow[tile] = int64(i)
+			lenHist[l]++
+			lastRowOf[tc] = i + 1
 		}
 	}
-	return counts, nil
+	for tc := 0; tc < t.kc; tc++ {
+		lo, hi := tc*t.tileCols, min((tc+1)*t.tileCols, m.Cols)
+		for _, n := range w.colCounts[lo:hi] {
+			w.cbCounts[tc] += n
+		}
+	}
+	for g, s := range groupShifts {
+		for l := int(s) + 1; l <= capLen; l++ {
+			w.rowSide[g] += lenHist[l]
+		}
+	}
+	return w, nil
 }
 
-// colSideCounts mirrors rowSideCounts for columns: distinct (tile,
-// col-group) pairs. Columns are not globally sorted, so it processes one
-// tile row at a time with epoch-stamped dedupe. For X = 1 the tile column is
-// a function of the column, so a per-column epoch suffices; for larger X a
-// group can straddle tile-column boundaries, so the epoch array is keyed by
-// the exact (group, tileCol) pair.
-func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling) (map[int]int64, error) {
-	counts := make(map[int]int64, 1+len(GroupSizes))
+// colSideCounts mirrors the row-side counts for columns: distinct (tile,
+// col-group) pairs per group slot. Columns are not globally sorted, so it
+// processes one tile row at a time with epoch-stamped dedupe. For X = 1 the
+// tile column is a function of the column, so a per-column epoch suffices;
+// for larger X a group can straddle tile-column boundaries, so the epoch
+// array is keyed by the exact (group, tileCol) pair. Every visited column
+// stamps its pair at every width, so a pair already stamped at one width
+// is stamped at all wider ones and the scan stops there.
+func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling) ([groupSlots]int64, error) {
+	var counts [groupSlots]int64
 	colEpoch := make([]int32, m.Cols)
-	pairEpochs := make([][]int32, len(GroupSizes))
-	for xi, x := range GroupSizes {
-		nGroups := (m.Cols+x-1)/x + 1
-		pairEpochs[xi] = make([]int32, nGroups*t.kc)
+	var pairEpochs [groupSlots][]int32 // slot 0 unused
+	var sizes [groupSlots]int
+	total := 0
+	for g := 1; g < groupSlots; g++ {
+		sizes[g] = ((m.Cols >> groupShifts[g]) + 1) * t.kc
+		total += sizes[g]
+	}
+	pool := make([]int32, total)
+	for g := 1; g < groupSlots; g++ {
+		pairEpochs[g], pool = pool[:sizes[g]:sizes[g]], pool[sizes[g]:]
 	}
 	epoch := int32(0)
 	for trLo := 0; trLo < m.Rows; trLo += t.tileRows {
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("features: extract: %w", ctx.Err())
+			return counts, fmt.Errorf("features: extract: %w", ctx.Err())
 		}
 		epoch++
-		trHi := trLo + t.tileRows
-		if trHi > m.Rows {
-			trHi = m.Rows
-		}
-		for i := trLo; i < trHi; i++ {
-			cols, _ := m.Row(i)
-			for _, c := range cols {
-				tc := int(c) / t.tileCols
-				if colEpoch[c] != epoch {
-					colEpoch[c] = epoch
-					counts[1]++
+		trHi := min(trLo+t.tileRows, m.Rows)
+		for _, c := range m.ColIdx[m.RowPtr[trLo]:m.RowPtr[trHi]] {
+			if colEpoch[c] == epoch {
+				continue
+			}
+			colEpoch[c] = epoch
+			counts[0]++
+			tc := int(c) / t.tileCols
+			for g := 1; g < groupSlots; g++ {
+				pair := (int(c)>>groupShifts[g])*t.kc + tc
+				if pairEpochs[g][pair] == epoch {
+					break
 				}
-				for xi, x := range GroupSizes {
-					pair := (int(c)/x)*t.kc + tc
-					if pairEpochs[xi][pair] != epoch {
-						pairEpochs[xi][pair] = epoch
-						counts[x]++
-					}
-				}
+				pairEpochs[g][pair] = epoch
+				counts[g]++
 			}
 		}
 	}
 	return counts, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

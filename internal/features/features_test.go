@@ -148,7 +148,7 @@ func TestUniqCountsMatchBruteForce(t *testing.T) {
 	for mi, m := range mats {
 		for _, k := range []int{4, 16, 64} {
 			tl := newTiling(m.Rows, m.Cols, k)
-			rowSide, err := rowSideCounts(context.Background(), m, tl)
+			w, err := walkRows(context.Background(), m, tl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,13 +156,13 @@ func TestUniqCountsMatchBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, x := range append([]int{1}, GroupSizes...) {
+			for g, x := range append([]int{1}, GroupSizes...) {
 				wantR, wantC := bruteForceCounts(m, tl, x)
-				if rowSide[x] != wantR {
-					t.Errorf("matrix %d K=%d X=%d: rowSide %d, want %d", mi, k, x, rowSide[x], wantR)
+				if w.rowSide[g] != wantR {
+					t.Errorf("matrix %d K=%d X=%d: rowSide %d, want %d", mi, k, x, w.rowSide[g], wantR)
 				}
-				if colSide[x] != wantC {
-					t.Errorf("matrix %d K=%d X=%d: colSide %d, want %d", mi, k, x, colSide[x], wantC)
+				if colSide[g] != wantC {
+					t.Errorf("matrix %d K=%d X=%d: colSide %d, want %d", mi, k, x, colSide[g], wantC)
 				}
 			}
 		}
@@ -289,5 +289,19 @@ func TestConfigKClamped(t *testing.T) {
 	f := Extract(matrix.Fig1Example(), Config{K: 0})
 	if len(f.Values) != FeatureCount() {
 		t.Error("K=0 should clamp, not break")
+	}
+}
+
+// TestExtractAllocsIndependentOfNNZ pins ExtractCtx to a small constant
+// number of allocations, however many nonzeros the matrix holds.
+func TestExtractAllocsIndependentOfNNZ(t *testing.T) {
+	m := gen.RMATRows(rand.New(rand.NewSource(11)), 1<<13, 8, gen.MedSkew)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ExtractCtx(context.Background(), m, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("extracting features of a %d-nonzero matrix: %v allocs, want <= 40", m.NNZ(), allocs)
 	}
 }

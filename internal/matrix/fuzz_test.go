@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // fuzzSeeds is the seed corpus for the MatrixMarket parser: valid files in
@@ -166,4 +167,91 @@ func TestReadLimits(t *testing.T) {
 	if _, err := ReadMatrixMarket(strings.NewReader(rect)); err == nil {
 		t.Fatal("rectangular symmetric matrix must be rejected, not mirrored out of range")
 	}
+}
+
+// differentialSeeds steer the differential fuzzer at the corners where the
+// fast tokenizer hands over to the strings/strconv path: non-ASCII
+// whitespace, signs, leading zeros and index tokens too long for the fast
+// integer parser.
+var differentialSeeds = []string{
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 2 -2\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n % comment\n+1 +2 +3\n2 1 -4e-1\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n-1 1 1\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 2\n0001 003 7\n000000000000000000002 2 1\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 1\n1000000000000000001 1 1\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 1.0 \n",
+	"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1 é\n3\t3\r\n",
+	"%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 3\n2 1 nan\n3 1 -0\n3 2 inf\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 3\n2 2 1\n1 1 1e16\n2 2 1e16\n",
+}
+
+// sameParse asserts two readers produced the same matrix: identical
+// structure, and bit-equal (or both-NaN) values unless dups says some
+// coordinate repeated, whose sum order the oracle leaves unspecified.
+func sameParse(t *testing.T, got, want *CSR, dups bool) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
+		t.Fatalf("shape %dx%d/%d, oracle %dx%d/%d",
+			got.Rows, got.Cols, got.NNZ(), want.Rows, want.Cols, want.NNZ())
+	}
+	for i := range want.RowPtr {
+		if got.RowPtr[i] != want.RowPtr[i] {
+			t.Fatalf("RowPtr[%d] = %d, oracle %d", i, got.RowPtr[i], want.RowPtr[i])
+		}
+	}
+	for k := range want.ColIdx {
+		if got.ColIdx[k] != want.ColIdx[k] {
+			t.Fatalf("ColIdx[%d] = %d, oracle %d", k, got.ColIdx[k], want.ColIdx[k])
+		}
+		a, b := got.Vals[k], want.Vals[k]
+		if !dups && math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+			t.Fatalf("Vals[%d] = %v, oracle %v", k, a, b)
+		}
+	}
+}
+
+// hasDuplicates reports whether any coordinate of c repeats.
+func hasDuplicates(c *COO) bool {
+	seen := make(map[[2]int32]bool, len(c.Entries))
+	for _, e := range c.Entries {
+		k := [2]int32{e.Row, e.Col}
+		if seen[k] {
+			return true
+		}
+		seen[k] = true
+	}
+	return false
+}
+
+// FuzzReadMatrixMarketDifferential runs the reader against readOracle, the
+// original strings/strconv reader: they must agree on accept/reject, and
+// on accept produce the same CSR. The reader must also give the identical
+// result when the stream arrives one byte per read, so every line crosses
+// a buffer boundary.
+func FuzzReadMatrixMarketDifferential(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range differentialSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<18 {
+			t.Skip("oversized input")
+		}
+		got, err := ReadMatrixMarketLimited(bytes.NewReader(data), fuzzLimits)
+		coo, oracleErr := readOracleCOO(bytes.NewReader(data), fuzzLimits)
+		if (err == nil) != (oracleErr == nil) {
+			t.Fatalf("reader err %v, oracle err %v", err, oracleErr)
+		}
+		if err != nil {
+			return
+		}
+		sameParse(t, got, oracleToCSR(coo), hasDuplicates(coo))
+		trickled, err := ReadMatrixMarketLimited(iotest.OneByteReader(bytes.NewReader(data)), fuzzLimits)
+		if err != nil {
+			t.Fatalf("one byte per read: %v", err)
+		}
+		sameParse(t, trickled, got, false)
+	})
 }

@@ -84,33 +84,16 @@ func (m *CSR) PermuteCols(perm Permutation) *CSR {
 	}
 	inv := perm.Inverse()
 	out := m.Clone()
+	rs := &rowSorter{}
 	for i := 0; i < out.Rows; i++ {
 		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
-		cols := out.ColIdx[lo:hi]
-		vals := out.Vals[lo:hi]
-		for k := range cols {
-			cols[k] = inv[cols[k]]
+		rs.cols, rs.vals = out.ColIdx[lo:hi], out.Vals[lo:hi]
+		for k := range rs.cols {
+			rs.cols[k] = inv[rs.cols[k]]
 		}
-		sortRow(cols, vals)
+		sort.Sort(rs) // a row's columns are distinct, so stability is moot
 	}
 	return out
-}
-
-// sortRow sorts a row's (col, val) pairs by column ascending.
-func sortRow(cols []int32, vals []float64) {
-	type pair struct {
-		c int32
-		v float64
-	}
-	pairs := make([]pair, len(cols))
-	for k := range cols {
-		pairs[k] = pair{cols[k], vals[k]}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].c < pairs[j].c })
-	for k := range pairs {
-		cols[k] = pairs[k].c
-		vals[k] = pairs[k].v
-	}
 }
 
 // GatherVec permutes a dense vector: out[i] = x[perm[i]]. out may be

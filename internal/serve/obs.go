@@ -11,6 +11,9 @@ var (
 	requestsDegraded = obs.NewCounter("serve.requests_degraded")
 	requestsPanicked = obs.NewCounter("serve.requests_panicked")
 	requestsRejected = obs.NewCounter("serve.requests_rejected")
+	// Answers whose body JSON could not encode (a non-finite float), sent
+	// as 500 with an error body instead.
+	responsesUnencodable = obs.NewCounter("serve.responses_unencodable")
 
 	// Stateful serving (internal/session, RESILIENCE.md "Stateful serving").
 	requestsMatrix   = obs.NewCounter("serve.requests_matrix")

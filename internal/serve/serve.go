@@ -397,16 +397,24 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON writes one JSON response. Encode failures after the header is
-// out are connection-level (client gone); they are narrated, not returned.
+// writeJSON writes one JSON response. The body is encoded before the
+// status goes out, so a value JSON cannot carry (a non-finite float) turns
+// into a 500 with an error body instead of a status with an empty body.
+// Write failures are connection-level (client gone); they are narrated,
+// not returned.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	data, err := json.Marshal(v)
 	if err != nil {
-		obs.Verbosef("serve: encoding response: %v", err)
-		return
+		responsesUnencodable.Inc()
+		obs.Verbosef("serve: encoding %d response: %v", status, err)
+		status = http.StatusInternalServerError
+		data, err = json.Marshal(errorResponse{Error: fmt.Sprintf("serve: response not encodable: %v", err)})
+		if err != nil {
+			panic(err) // an errorResponse holds one string; it always encodes
+		}
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	if _, err := w.Write(append(data, '\n')); err != nil {
 		obs.Verbosef("serve: writing response: %v", err)
 	}

@@ -222,6 +222,26 @@ func TestSpMVExecPanicAnswered500(t *testing.T) {
 	}
 }
 
+// TestSpMVOverflowAnsweredJSONError chains /spmv iterations until y
+// overflows to +Inf, which JSON cannot carry: the answer must be a non-200
+// with an error body that decodes, never a 200 with an empty body.
+func TestSpMVOverflowAnsweredJSONError(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e200\n2 2 1e200\n"
+	before := responsesUnencodable.Value()
+	status, _, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: body, Iterations: 4})
+	if status == http.StatusOK {
+		t.Fatalf("overflowed /spmv answered 200: body=%q", raw)
+	}
+	var er errorResponse
+	if err := json.Unmarshal([]byte(raw), &er); err != nil || er.Error == "" {
+		t.Fatalf("overflowed /spmv: status=%d body=%q is not a JSON error (%v)", status, raw, err)
+	}
+	if got := responsesUnencodable.Value() - before; got != 1 {
+		t.Fatalf("serve.responses_unencodable moved by %d, want 1", got)
+	}
+}
+
 // TestSessionSaturationDegrades shrinks the session budget below a single
 // entry: every stateful request must still be answered — by the stateless
 // path, marked degraded — never refused.

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -65,30 +66,38 @@ func Summarize(counts []int64) Summary {
 		ss += d * d
 	}
 	variance := ss / n
+	sorted := sortedCopy(counts)
 	return Summary{
 		Mean:     mean,
 		Std:      math.Sqrt(variance),
 		Variance: variance,
 		Min:      min,
 		Max:      max,
-		Gini:     Gini(counts),
-		PRatio:   PRatio(counts),
+		Gini:     giniSorted(sorted),
+		PRatio:   pRatioSorted(sorted),
 		NonEmpty: nonEmpty,
 	}
+}
+
+// sortedCopy returns the counts in ascending order, leaving counts as is.
+func sortedCopy(counts []int64) []int64 {
+	sorted := slices.Clone(counts)
+	slices.Sort(sorted)
+	return sorted
 }
 
 // Gini computes the Gini coefficient of a non-negative distribution.
 // 0 means perfectly balanced; values approaching 1 mean all mass is
 // concentrated in a single bucket. Distributions with zero total mass or a
 // single bucket are balanced by definition (Gini 0).
-func Gini(counts []int64) float64 {
-	n := len(counts)
+func Gini(counts []int64) float64 { return giniSorted(sortedCopy(counts)) }
+
+// giniSorted is Gini of an ascending distribution.
+func giniSorted(sorted []int64) float64 {
+	n := len(sorted)
 	if n <= 1 {
 		return 0
 	}
-	sorted := make([]int64, n)
-	copy(sorted, counts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var total, weighted float64
 	for i, c := range sorted {
 		v := float64(c)
@@ -113,20 +122,21 @@ func Gini(counts []int64) float64 {
 // complement; a perfectly balanced distribution has p = 0.5, and a
 // maximally-imbalanced one approaches 0 (one bucket holds everything).
 //
-// Concretely we sort buckets in descending order and find, by linear
+// Concretely we walk buckets in descending order and find, by linear
 // interpolation along the cumulative-mass curve, the crossing point where
 // cumulativeShare(topFraction = p) = 1 - p.
-func PRatio(counts []int64) float64 {
-	n := len(counts)
+func PRatio(counts []int64) float64 { return pRatioSorted(sortedCopy(counts)) }
+
+// pRatioSorted is PRatio of an ascending distribution, which it reads from
+// the back: largest bucket first.
+func pRatioSorted(sorted []int64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0.5
 	}
-	sorted := make([]int64, n)
-	copy(sorted, counts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	var total float64
-	for _, c := range sorted {
-		total += float64(c)
+	for k := n - 1; k >= 0; k-- {
+		total += float64(sorted[k])
 	}
 	if total == 0 { //lint:ignore floateq sum of non-negative integer counts is 0 only when all are 0
 		return 0.5
@@ -134,8 +144,8 @@ func PRatio(counts []int64) float64 {
 	nf := float64(n)
 	var cum float64
 	prevFrac, prevShare := 0.0, 0.0
-	for i, c := range sorted {
-		cum += float64(c)
+	for i := 0; i < n; i++ {
+		cum += float64(sorted[n-1-i])
 		frac := float64(i+1) / nf
 		share := cum / total
 		// Find where share >= 1 - frac, i.e. f(frac) = share + frac - 1 >= 0.

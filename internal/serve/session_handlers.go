@@ -358,9 +358,9 @@ func (s *Server) answerSpMVFallback(ctx context.Context, w http.ResponseWriter, 
 			method = lm.w.Models[lm.fallback].Method
 		}
 		f := kernels.Build(m, method, lm.w.Mach.RowBlock)
-		y, execErr := runSpMV(ctx, f, m, x, req.Iterations, kernels.DefaultWorkers())
+		y, execErr := kernels.Iterate(ctx, f, m.Rows, x, req.Iterations, kernels.DefaultWorkers())
 		if execErr != nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: execErr.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "serve: spmv: " + execErr.Error()})
 			return
 		}
 		requestsDegraded.Inc()
@@ -392,28 +392,6 @@ func spmvVector(m *matrix.CSR, req spmvRequest) ([]float64, string) {
 		return nil, fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(req.X), m.Cols)
 	}
 	return req.X, ""
-}
-
-// runSpMV chains iters multiplies on a request-local format (the stateless
-// path; the session store runs the cached-format equivalent).
-func runSpMV(ctx context.Context, f kernels.Format, m *matrix.CSR, x []float64, iters, workers int) ([]float64, error) {
-	y := make([]float64, m.Rows)
-	src := x
-	var tmp []float64
-	if iters > 1 {
-		tmp = make([]float64, m.Cols)
-	}
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("serve: spmv: %w", err)
-		}
-		f.SpMVParallel(y, src, workers)
-		if i+1 < iters {
-			copy(tmp, y)
-			src = tmp
-		}
-	}
-	return y, nil
 }
 
 // spmvResult assembles the response, echoing y only for small results.

@@ -479,22 +479,10 @@ func (s *Store) Exec(ctx context.Context, e *Entry, x []float64, iters, workers 
 	if err := faultinject.Hit("session.exec.panic"); err != nil {
 		panic(fmt.Sprintf("session: exec: %v", err))
 	}
-	f := s.ensureFormat(e)
-	y := make([]float64, e.m.Rows)
-	src := x
-	var tmp []float64
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("session: exec: %w", err)
-		}
-		f.SpMVParallel(y, src, workers)
-		if i+1 < iters {
-			if tmp == nil {
-				tmp = make([]float64, e.m.Cols)
-			}
-			copy(tmp, y)
-			src = tmp
-		}
+	//lint:ignore waitblock execMu serializes kernel runs by design (a pack's gather scratch is per-pack state); the only wait inside is the kernels' fork-join barrier, whose workers never take execMu
+	y, err := kernels.Iterate(ctx, s.ensureFormat(e), e.m.Rows, x, iters, workers)
+	if err != nil {
+		return nil, fmt.Errorf("session: exec: %w", err)
 	}
 	sessionExecs.Inc()
 	return y, nil

@@ -141,11 +141,15 @@ func TestLabelCorpusRunQuarantinesPanic(t *testing.T) {
 }
 
 // An overdue matrix (injected delay beyond the per-matrix deadline) is
-// quarantined with a deadline error; the run completes.
+// quarantined with a deadline error; the run completes. The deadline sits
+// far above a normal matrix's labeling time (a few ms) so that CPU
+// starvation on a shared host cannot push healthy matrices past it, and far
+// below the injected 2 s delay so the elapsed check still tells abandoning
+// from waiting.
 func TestLabelCorpusRunDeadline(t *testing.T) {
 	corpus := checkpointCorpus(t)
 	cfg := smallLabelConfig()
-	cfg.MatrixDeadline = 50 * time.Millisecond
+	cfg.MatrixDeadline = 250 * time.Millisecond
 	if err := faultinject.Configure("perf.label.matrix:delay:d=2s:after=2", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type CSRFormat struct {
 // selects a default of 64 rows per unit.
 func BuildCSRFormat(m *matrix.CSR, sched Sched, rowBlock int) *CSRFormat {
 	if rowBlock <= 0 {
-		rowBlock = 64
+		rowBlock = defaultRowBlock
 	}
 	return &CSRFormat{M: m, Sched: sched, RowBlock: rowBlock}
 }

@@ -46,7 +46,7 @@ func BuildSegCSR(m *matrix.CSR, segCols int, sched Sched, rowBlock int) *SegCSR 
 		segCols = 1
 	}
 	if rowBlock <= 0 {
-		rowBlock = 64
+		rowBlock = defaultRowBlock
 	}
 	out := &SegCSR{Rows: m.Rows, Cols: m.Cols, Sched: sched, RowBlock: rowBlock}
 	nSegs := (m.Cols + segCols - 1) / segCols

@@ -1,11 +1,14 @@
 // wise-serve runs the fault-tolerant inference server (internal/serve):
 // POST a MatrixMarket matrix to /predict and get the selected SpMV method
-// as JSON. The server bounds concurrent work (429 + Retry-After when
-// saturated), degrades to the CSR fallback instead of failing when the
+// as JSON. All three POST endpoints (/predict, /matrix, /spmv) share one
+// request pipeline: the server bounds concurrent work (429 + Retry-After
+// when saturated), degrades to the CSR fallback instead of failing when the
 // predictor errors or overruns the request deadline, trips a circuit
 // breaker under repeated predictor failures, and hot-reloads the model
 // file on SIGHUP or change (mtime, size, or envelope checksum) with
-// rollback on a corrupt file.
+// rollback on a corrupt file. Every flag maps to one serve.Config field;
+// the loop's other tuning (shadow queue and budget, retrain floor, canary
+// split) is fixed in internal/serve.
 //
 //	wise-serve -models models.json -addr 127.0.0.1:8080
 //	curl -sS --data-binary @matrix.mtx http://127.0.0.1:8080/predict
@@ -22,8 +25,8 @@
 // Prepared sessions live in a byte-budgeted LRU (-session-bytes); with
 // -session-spill they are persisted as checksummed envelopes and rehydrated
 // after a restart (corrupt files are quarantined, never served). When the
-// budget is saturated the server answers statelessly, marked degraded —
-// never a refusal.
+// budget is saturated, or the predictor degraded, the server answers from
+// an uncached build, marked degraded — never a refusal.
 //
 // With -registry the model lives in a crash-safe generation registry
 // (internal/registry), and -shadow-rate enables the self-healing loop
@@ -60,7 +63,6 @@ import (
 	"os"
 	"time"
 
-	"wise/internal/machine"
 	"wise/internal/obs"
 	"wise/internal/resilience"
 	"wise/internal/resilience/faultinject"
@@ -151,7 +153,6 @@ func run() int {
 
 	s, err := serve.New(serve.Config{
 		ModelPath:        *models,
-		Mach:             machine.Scaled(),
 		MaxInFlight:      *maxInflight,
 		MaxQueue:         *maxQueue,
 		QueueWait:        *queueWait,

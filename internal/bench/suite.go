@@ -454,7 +454,7 @@ func (sr *suiteRun) startServer(span *obs.Span) *benchServer {
 		sr.failf("bench: saving serve model: %w", err)
 		return b
 	}
-	s, err := serve.New(serve.Config{ModelPath: modelPath, Mach: sr.mach, ReloadPoll: -1})
+	s, err := serve.New(serve.Config{ModelPath: modelPath, ReloadPoll: -1})
 	if err != nil {
 		sr.failf("bench: starting serve: %w", err)
 		return b
@@ -462,17 +462,10 @@ func (sr *suiteRun) startServer(span *obs.Span) *benchServer {
 	s.SetReady(true)
 	b.ts = httptest.NewServer(s.Handler())
 
-	// The shadow variant: registry-backed, every request sampled. The
-	// retrain floor is set unreachably high so the loop measures and
-	// detects but never swaps models mid-benchmark.
-	sh, err := serve.New(serve.Config{
-		ModelPath:         modelPath,
-		RegistryDir:       filepath.Join(dir, "registry"),
-		Mach:              sr.mach,
-		ReloadPoll:        -1,
-		ShadowRate:        1,
-		RetrainMinSamples: 1 << 30,
-	})
+	// The shadow variant: every request sampled. Without a registry the
+	// loop measures and detects drift but never retrains, so the model
+	// cannot swap mid-benchmark.
+	sh, err := serve.New(serve.Config{ModelPath: modelPath, ReloadPoll: -1, ShadowRate: 1})
 	if err != nil {
 		sr.failf("bench: starting shadow serve: %w", err)
 		return b

@@ -38,7 +38,7 @@ import (
 // it whenever an analyzer's rules, the suppression machinery, or the entry
 // layout change, so stale caches invalidate wholesale. A variable (not a
 // const) so tests can prove the schema-bump-means-full-miss property.
-var cacheSchema = 1
+var cacheSchema = 2
 
 // factCache is a handle on one cache directory. A nil *factCache is a valid
 // always-miss, never-store cache, which is how the engine runs when -cache

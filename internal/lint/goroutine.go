@@ -7,11 +7,9 @@ import (
 
 // GoroutineSafetyAnalyzer checks the worker-pool patterns the parallel
 // paths (kernels.parallelUnits, ml's fold pool, perf's labeling pool) are
-// built on:
+// built on. Loop-variable capture is not checked: the module declares
+// go 1.22, where every iteration has its own loop variables.
 //
-//   - a goroutine closing over a loop variable must take it as a parameter
-//     instead (per-iteration clarity, and correctness on pre-1.22
-//     toolchains);
 //   - sync.WaitGroup.Add must happen before the goroutine is spawned, never
 //     inside it, or Wait can return early;
 //   - a write s[i] = v to a captured slice from inside a goroutine is only
@@ -20,14 +18,12 @@ import (
 //     captured maps are never safe without a lock.
 var GoroutineSafetyAnalyzer = &Analyzer{
 	Name: "goroutinesafety",
-	Doc:  "flags loop-variable capture, WaitGroup.Add inside goroutines, and non-partitioned shared writes",
+	Doc:  "flags WaitGroup.Add inside goroutines and non-partitioned shared writes",
 	Run:  runGoroutineSafety,
 }
 
 func runGoroutineSafety(pass *Pass) {
-	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
-		loopVars := collectLoopVars(info, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -37,60 +33,20 @@ func runGoroutineSafety(pass *Pass) {
 			if !ok {
 				return true
 			}
-			checkGoroutineBody(pass, lit, loopVars)
+			checkGoroutineBody(pass, lit)
 			return true
 		})
 	}
 }
 
-// collectLoopVars gathers the objects of every range/for-init loop variable
-// in the file.
-func collectLoopVars(info *types.Info, file *ast.File) map[types.Object]bool {
-	vars := make(map[types.Object]bool)
-	addIdent := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				vars[obj] = true
-			}
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.RangeStmt:
-			addIdent(st.Key)
-			if st.Value != nil {
-				addIdent(st.Value)
-			}
-		case *ast.ForStmt:
-			if init, ok := st.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range init.Lhs {
-					addIdent(lhs)
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
-func checkGoroutineBody(pass *Pass, lit *ast.FuncLit, loopVars map[types.Object]bool) {
+func checkGoroutineBody(pass *Pass, lit *ast.FuncLit) {
 	info := pass.Pkg.Info
 	localTo := func(obj types.Object) bool {
 		return obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End()
 	}
 
-	reportedLoopVar := make(map[types.Object]bool)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch t := n.(type) {
-		case *ast.Ident:
-			obj := info.Uses[t]
-			if obj != nil && loopVars[obj] && !localTo(obj) && !reportedLoopVar[obj] {
-				reportedLoopVar[obj] = true
-				pass.Reportf(t.Pos(),
-					"goroutine closes over loop variable %s; pass it as a parameter (go func(%s ...) { ... }(%s))",
-					obj.Name(), obj.Name(), obj.Name())
-			}
-
 		case *ast.CallExpr:
 			// WaitGroup.Add inside the spawned goroutine races with Wait.
 			fn := resolvedFunc(info, t)

@@ -3,18 +3,6 @@ package lintfixture
 
 import "sync"
 
-func badLoopCapture(xs []int) {
-	var wg sync.WaitGroup
-	wg.Add(len(xs))
-	for i := range xs {
-		go func() {
-			defer wg.Done()
-			use(i) // want goroutinesafety
-		}()
-	}
-	wg.Wait()
-}
-
 func badAddInside() {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -43,6 +43,20 @@ func goodDynamic(out []int) {
 	wg.Wait()
 }
 
+// goodLoopCapture closes over the loop variable, which go 1.22 makes
+// per-iteration: each goroutine sees its own i.
+func goodLoopCapture(xs []int) {
+	var wg sync.WaitGroup
+	wg.Add(len(xs))
+	for i := range xs {
+		go func() {
+			defer wg.Done()
+			use(i)
+		}()
+	}
+	wg.Wait()
+}
+
 func suppressedSharedWrite(out []int) {
 	var wg sync.WaitGroup
 	wg.Add(1)

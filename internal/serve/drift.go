@@ -5,14 +5,13 @@ import "sync"
 // driftDetector watches the stream of shadow-measurement outcomes for model
 // drift: the fraction of recent samples whose measured speedup class
 // disagreed with the serving model's prediction. It is a windowed rate with
-// hysteresis — tripping at trip, clearing only back below clear — and a
+// hysteresis — tripping at trip, clearing only back below trip/2 — and a
 // minimum-sample floor so a couple of unlucky first measurements cannot
 // trigger a retrain.
 type driftDetector struct {
 	window     int
 	minSamples int
-	trip       float64
-	clear      float64
+	trip       float64 // clears back at trip/2
 
 	mu      sync.Mutex
 	ring    []bool // guarded by mu; last window mismatch outcomes
@@ -21,12 +20,11 @@ type driftDetector struct {
 	tripped bool   // guarded by mu
 }
 
-func newDriftDetector(window, minSamples int, trip, clear float64) *driftDetector {
+func newDriftDetector(window, minSamples int, trip float64) *driftDetector {
 	return &driftDetector{
 		window:     window,
 		minSamples: minSamples,
 		trip:       trip,
-		clear:      clear,
 		ring:       make([]bool, window),
 	}
 }
@@ -34,7 +32,7 @@ func newDriftDetector(window, minSamples int, trip, clear float64) *driftDetecto
 // record folds one shadow outcome into the window and returns the current
 // mismatch rate and tripped state. The rate is over the filled window; the
 // tripped flag latches at rate >= trip (once minSamples are in) and releases
-// only at rate <= clear, so a rate hovering at the threshold cannot flap the
+// only at rate <= trip/2, so a rate hovering at the threshold cannot flap the
 // retrain machinery.
 func (d *driftDetector) record(mismatch bool) (rate float64, tripped bool) {
 	d.mu.Lock()
@@ -56,7 +54,7 @@ func (d *driftDetector) record(mismatch bool) (rate float64, tripped bool) {
 		case !d.tripped && rate >= d.trip:
 			d.tripped = true
 			driftTrips.Inc()
-		case d.tripped && rate <= d.clear:
+		case d.tripped && rate <= d.trip/2:
 			d.tripped = false
 		}
 	}

@@ -52,7 +52,7 @@ func buildShadowModel(path string) error {
 
 // feedbackConfig is the deterministic small-window loop configuration shared
 // by the feedback tests: every request sampled, trip after 4 of 8 mismatch,
-// retrain from 4 labels, probation of 8 samples.
+// probation of 8 samples.
 func feedbackConfig(t *testing.T, measure measureFunc) Config {
 	t.Helper()
 	dir := t.TempDir()
@@ -63,23 +63,15 @@ func feedbackConfig(t *testing.T, measure measureFunc) Config {
 	return Config{
 		ModelPath:   modelPath,
 		RegistryDir: filepath.Join(dir, "registry"),
-		Mach:        machine.Scaled(),
 		ReloadPoll:  -1,
 
 		ShadowRate:    1,
 		ShadowWorkers: 1,
-		ShadowQueue:   64,
 		ShadowMeasure: measure,
 
 		DriftWindow:     8,
 		DriftMinSamples: 4,
 		DriftTrip:       0.5,
-		DriftClear:      0.1,
-		DriftProbation:  8,
-
-		RetrainMinSamples: 4,
-		CanaryHoldout:     0.25,
-		CanarySeed:        1,
 	}
 }
 
@@ -251,7 +243,6 @@ func TestServePromoteCrashRestart(t *testing.T) {
 	cfg := Config{
 		ModelPath:   modelPath,
 		RegistryDir: filepath.Join(dir, "registry"),
-		Mach:        machine.Scaled(),
 		ReloadPoll:  -1,
 	}
 	s1, err := New(cfg)
@@ -331,7 +322,7 @@ func TestFileSourceChecksumChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &fileSource{path: path, mach: machine.Scaled()}
+	src := &modelHolder{path: path}
 	cur := &loadedModel{mtime: fi.ModTime(), size: fi.Size(), sum: peekSum(path)}
 	if cur.sum == "" {
 		t.Fatal("enveloped artifact yielded no header checksum")
@@ -395,7 +386,7 @@ func TestChaosFeedbackFromEnv(t *testing.T) {
 		// A fault mix that crashes every promotion can keep the registry
 		// empty forever; the surviving invariant is that the directory
 		// still opens cleanly as a registry.
-		if _, err := registry.Open(cfg.RegistryDir, cfg.Mach); err != nil {
+		if _, err := registry.Open(cfg.RegistryDir, machine.Scaled()); err != nil {
 			t.Fatalf("registry unusable after repeated startup crashes: %v", err)
 		}
 		t.Skipf("fault mix %q blocks startup deterministically; registry stayed valid", os.Getenv("WISE_FAULTS"))

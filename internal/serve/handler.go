@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"wise/internal/core"
+	"wise/internal/features"
 	"wise/internal/matrix"
+	"wise/internal/obs"
 	"wise/internal/resilience/faultinject"
+	"wise/internal/session"
 )
 
 // predictResponse is the JSON body of a /predict answer. Degraded is true
@@ -43,75 +47,68 @@ const (
 	reasonPredictError = "predict-error"
 )
 
-// handlePredict runs the full hardened request path: panic recovery,
-// admission, per-request deadline, bounded ingest, then the
-// breaker-guarded predictor with CSR degradation. See the package comment
-// for the ladder.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	requestsTotal.Inc()
-	defer func() {
-		if rec := recover(); rec != nil {
-			requestsPanicked.Inc()
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
+// endpoint wraps a POST handler in the prelude they all share: counters
+// (the per-endpoint one may be nil), the serve.handler.panic site, panic ->
+// 500, admission (429 + Retry-After, or 503 when the client gave up while
+// queued), the RequestTimeout context handed to h, and request_seconds.
+func (s *Server) endpoint(counter *obs.Counter, h func(context.Context, http.ResponseWriter, *http.Request, time.Time)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		requestsTotal.Inc()
+		if counter != nil {
+			counter.Inc()
 		}
-		requestSeconds.Observe(time.Since(start).Seconds())
-	}()
-	if err := faultinject.Hit("serve.handler.panic"); err != nil {
-		panic(err)
-	}
+		defer func() {
+			if rec := recover(); rec != nil {
+				requestsPanicked.Inc()
+				writeJSON(w, http.StatusInternalServerError,
+					errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
+			}
+			requestSeconds.Observe(time.Since(start).Seconds())
+		}()
+		if err := faultinject.Hit("serve.handler.panic"); err != nil {
+			panic(err)
+		}
 
-	if err := s.admit.acquire(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			requestsShed.Inc()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		if err := s.admit.acquire(r.Context()); err != nil {
+			if errors.Is(err, errSaturated) {
+				requestsShed.Inc()
+				w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
+				writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+				return
+			}
+			// Client went away while queued; nobody is reading the response.
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 			return
 		}
-		// Client went away while queued; nobody is reading the response.
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
+		defer s.admit.release()
+
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		h(ctx, w, r, start)
 	}
-	defer s.admit.release()
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	// A fingerprint (query param or header) answers warm from the session
-	// store: cached features re-predicted only on a model-generation change,
-	// no parse, no extraction (RESILIENCE.md "Stateful serving").
+// handlePredict answers a named fingerprint from its session; any other
+// request is one stateless inspection, parsed straight off the capped body
+// reader — nothing buffered, inserted or converted.
+func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	if fp := fingerprintOf(r); fp != "" {
 		s.answerPredictSession(w, fp, start)
 		return
 	}
-
-	m, err := matrix.ReadMatrixMarketLimited(
-		http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.Limits)
+	lm := s.models.current()
+	in, err := s.inspect(ctx, lm, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		requestsRejected.Inc()
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		rejectBody(w, err)
 		return
 	}
-
-	lm := s.models.current()
-	resp, sel, predicted := s.selectMethod(ctx, lm, m)
-	resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	if resp.Degraded {
-		requestsDegraded.Inc()
-	}
-	if predicted && s.feedback != nil {
+	if in.reason == "" && s.feedback != nil {
 		// Off-path shadow measurement of a sampled fraction of healthy
 		// predictions; never blocks or fails the request.
-		s.feedback.pool.offer(m, sel, lm)
+		s.feedback.offer(in, lm)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, selectionResponse(in.sel, in.reason, "", in.m, start))
 }
 
 // fingerprintOf extracts the session handle of a warm request: the fp query
@@ -123,86 +120,116 @@ func fingerprintOf(r *http.Request) string {
 	return r.Header.Get("X-Wise-Fingerprint")
 }
 
-// answerPredictSession serves /predict from a prepared session. An unknown
-// fingerprint is 404 — the client uploads via /matrix first.
+// answerPredictSession serves /predict from a prepared session: no parse, no
+// extraction, re-predicted only on a model-generation change.
 func (s *Server) answerPredictSession(w http.ResponseWriter, fp string, start time.Time) {
-	ent, ok := s.sessions.Acquire(fp)
+	ent, ok := s.acquireSession(w, fp)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("serve: unknown fingerprint %s; upload via POST /matrix first", fp)})
 		return
 	}
 	defer s.sessions.Release(ent)
 	lm := s.models.current()
-	sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-	m := ent.Matrix()
-	writeJSON(w, http.StatusOK, predictResponse{
-		Method:         sel.Method.String(),
-		Index:          sel.Index,
-		PredictedClass: sel.PredictedClass,
-		Classes:        sel.Classes,
-		Rows:           m.Rows,
-		Cols:           m.Cols,
-		NNZ:            m.NNZ(),
-		Fingerprint:    fp,
-		Cached:         true,
-		ElapsedMS:      float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	resp := selectionResponse(s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures), "", fp, ent.Matrix(), start)
+	resp.Cached = true
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// selectMethod is the degradation ladder around the predictor. The breaker
-// decides whether the predictor may run at all; if it runs and fails (error
-// or deadline overrun), the outcome feeds back into the breaker and the
-// response degrades to the fallback method of the serving generation. The
-// returned predicted flag is true only when the model actually ran — the
-// shadow sampler measures real predictions, not fallback answers.
-func (s *Server) selectMethod(ctx context.Context, lm *loadedModel, m *matrix.CSR) (predictResponse, core.Selection, bool) {
+// acquireSession pins the session for fp. An unknown fingerprint is
+// answered 404 — the client uploads via /matrix first.
+func (s *Server) acquireSession(w http.ResponseWriter, fp string) (*session.Entry, bool) {
+	ent, ok := s.sessions.Acquire(fp)
+	if !ok {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("serve: unknown fingerprint %s; upload via POST /matrix first", fp)})
+	}
+	return ent, ok
+}
+
+// inspection is one inspector pass over a request body. reason is empty
+// when the predictor ran; otherwise sel is the serving generation's
+// fallback and reason says why.
+type inspection struct {
+	m      *matrix.CSR
+	feat   features.Features
+	sel    core.Selection
+	reason string
+}
+
+// inspect is the inspector path of every endpoint: parse under the default
+// read limits (the only error), then the breaker-guarded extract + infer. A
+// predictor the breaker keeps out, that fails, or that overruns ctx
+// degrades the selection to the fallback; the outcome feeds the breaker.
+func (s *Server) inspect(ctx context.Context, lm *loadedModel, body io.Reader) (inspection, error) {
+	m, err := matrix.ReadMatrixMarketLimited(body, matrix.DefaultReadLimits())
+	if err != nil {
+		return inspection{}, err
+	}
+	in := inspection{m: m}
 	usePredictor, probe := s.breaker.allow()
 	if !usePredictor {
-		return fallbackResponse(lm, reasonBreakerOpen), core.Selection{}, false
+		in.sel, in.reason = lm.fallbackSelection(), reasonBreakerOpen
+		return in, nil
 	}
-	sel, err := predict(ctx, lm, m)
+	in.feat, err = extract(ctx, lm, m)
 	s.breaker.report(err == nil, probe)
-	if err != nil {
-		reason := reasonPredictError
-		if ctx.Err() != nil {
-			reason = reasonDeadline
-		}
-		return fallbackResponse(lm, reason), core.Selection{}, false
+	if err == nil {
+		in.sel = lm.w.SelectFromFeatures(in.feat)
+		return in, nil
 	}
-	return predictResponse{
+	in.sel, in.reason = lm.fallbackSelection(), reasonPredictError
+	if ctx.Err() != nil {
+		in.reason = reasonDeadline
+	}
+	return in, nil
+}
+
+// extract runs the ctx-aware feature extraction with the two predictor
+// fault sites in front: serve.predict.delay (armed with d=... to simulate a
+// slow predictor overrunning the deadline) and serve.predict.error (a
+// failing predictor, the breaker-trip trigger).
+func extract(ctx context.Context, lm *loadedModel, m *matrix.CSR) (features.Features, error) {
+	if err := faultinject.Hit("serve.predict.delay"); err != nil {
+		return features.Features{}, err
+	}
+	if err := faultinject.Hit("serve.predict.error"); err != nil {
+		return features.Features{}, err
+	}
+	feat, err := features.ExtractCtx(ctx, m, lm.w.FeatureCfg)
+	if err == nil {
+		err = ctx.Err()
+	}
+	return feat, err
+}
+
+// selectionResponse assembles a /predict or /matrix answer; a non-empty
+// reason marks it degraded. m is nil when no matrix was parsed.
+func selectionResponse(sel core.Selection, reason, fp string, m *matrix.CSR, start time.Time) predictResponse {
+	resp := predictResponse{
 		Method:         sel.Method.String(),
 		Index:          sel.Index,
 		PredictedClass: sel.PredictedClass,
 		Classes:        sel.Classes,
-	}, sel, true
+		Degraded:       reason != "",
+		Reason:         reason,
+		Fingerprint:    fp,
+	}
+	if m != nil {
+		resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
+	}
+	if resp.Degraded {
+		requestsDegraded.Inc()
+	}
+	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	return resp
 }
 
-// predict runs the ctx-aware feature-extraction + tree-inference path, with
-// the two predictor fault sites in front: serve.predict.delay (armed with
-// d=... to simulate a slow predictor overrunning the deadline) and
-// serve.predict.error (a failing predictor, the breaker-trip trigger).
-func predict(ctx context.Context, lm *loadedModel, m *matrix.CSR) (core.Selection, error) {
-	if err := faultinject.Hit("serve.predict.delay"); err != nil {
-		return core.Selection{}, err
+// rejectBody answers a body that could not be read or parsed: 413 when it
+// ran past MaxBodyBytes, 400 otherwise.
+func rejectBody(w http.ResponseWriter, err error) {
+	requestsRejected.Inc()
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	if err := faultinject.Hit("serve.predict.error"); err != nil {
-		return core.Selection{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return core.Selection{}, fmt.Errorf("serve: predict: %w", err)
-	}
-	return lm.w.SelectCtx(ctx, m)
-}
-
-// fallbackResponse answers with the serving generation's lowest-
-// preprocessing-cost method (CSR in any paper-shaped model space), marked
-// degraded so clients and dashboards can see the ladder at work.
-func fallbackResponse(lm *loadedModel, reason string) predictResponse {
-	fb := lm.w.Models[lm.fallback]
-	return predictResponse{
-		Method:   fb.Method.String(),
-		Index:    lm.fallback,
-		Degraded: true,
-		Reason:   reason,
-	}
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -27,9 +27,8 @@ type loadedModel struct {
 	fallback int    // index into w.Space() of the lowest-preprocessing method
 	genID    string // registry generation ID ("" for file-backed models)
 
-	// File identity of the backing store at load time. For file-backed
-	// models this is the model file itself; for registry-backed models it is
-	// the manifest artifact. sum is the envelope's declared payload sha256
+	// Identity of the watched file at load time: the model file, or the
+	// registry manifest. sum is the envelope's declared payload sha256
 	// ("" for legacy non-enveloped files), the tiebreaker that catches
 	// same-mtime rewrites on coarse-timestamp filesystems.
 	mtime time.Time
@@ -37,66 +36,79 @@ type loadedModel struct {
 	sum   string
 }
 
-// newLoadedModel wraps a validated framework with its fallback index.
-func newLoadedModel(w *core.WISE) (*loadedModel, error) {
-	if len(w.Models) == 0 {
-		return nil, fmt.Errorf("serve: empty model space")
-	}
-	fallback := 0
-	for i, m := range w.Models {
-		if m.Method.PreprocessRank() < w.Models[fallback].Method.PreprocessRank() {
-			fallback = i
-		}
-	}
-	return &loadedModel{w: w, fallback: fallback}, nil
+// fallbackSelection is the degraded answer: the generation's lowest-
+// preprocessing-cost method (CSR in any paper-shaped model space).
+func (lm *loadedModel) fallbackSelection() core.Selection {
+	return core.Selection{Method: lm.w.Models[lm.fallback].Method, Index: lm.fallback}
 }
 
-// modelSource is where generations come from: a standalone model file
-// (wise-train output) or a crash-safe registry (internal/registry). load
-// validates a fresh candidate; changed cheaply reports whether the backing
-// store differs from the serving generation, driving the poll-based reload.
-type modelSource interface {
-	load() (*loadedModel, error)
-	changed(cur *loadedModel) bool
-	describe() string
-}
-
-// fileSource serves a single model file, reloading when its identity on
-// disk changes.
-type fileSource struct {
+// modelHolder owns the current generation and the reload protocol. It
+// watches path (the -models file, or reg's manifest) and loads that file or
+// reg's current generation. Only a fully valid candidate is swapped in: a
+// corrupt file leaves the previous one serving (model_reloads_rejected).
+type modelHolder struct {
 	path string
-	mach machine.Machine
+	reg  *registry.Registry // nil: path is the model file itself
+	cur  atomic.Pointer[loadedModel]
 }
 
-func (f *fileSource) describe() string { return f.path }
-
-func (f *fileSource) load() (*loadedModel, error) {
-	fi, err := os.Stat(f.path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: models %s: %w", f.path, err)
-	}
-	w, err := core.Load(f.path, f.mach)
+func newModelHolder(path string, reg *registry.Registry) (*modelHolder, error) {
+	h := &modelHolder{path: path, reg: reg}
+	lm, err := h.load()
 	if err != nil {
 		return nil, err
 	}
-	lm, err := newLoadedModel(w)
-	if err != nil {
-		return nil, fmt.Errorf("serve: models %s: %w", f.path, err)
+	h.cur.Store(lm)
+	return h, nil
+}
+
+// load validates the backing store into a fresh generation. The watched
+// file's identity is taken before the load, so a write racing it shows up
+// as a change on the next poll rather than being missed.
+func (h *modelHolder) load() (*loadedModel, error) {
+	fi, err := os.Stat(h.path)
+	if err != nil && h.reg == nil {
+		return nil, fmt.Errorf("serve: models %s: %w", h.path, err)
 	}
-	lm.mtime, lm.size = fi.ModTime(), fi.Size()
-	lm.sum = peekSum(f.path)
+	sum := peekSum(h.path)
+	var w *core.WISE
+	var genID string
+	if h.reg != nil {
+		gen, _, err := h.reg.Refresh()
+		if err != nil {
+			return nil, err
+		}
+		if gen == nil {
+			return nil, fmt.Errorf("serve: registry %s is empty", h.reg.Dir())
+		}
+		w, genID = gen.W, gen.ID
+	} else if w, err = core.Load(h.path, machine.Scaled()); err != nil {
+		return nil, err
+	}
+	if len(w.Models) == 0 {
+		return nil, fmt.Errorf("serve: models %s: empty model space", h.path)
+	}
+	lm := &loadedModel{w: w, genID: genID, sum: sum}
+	for i, mm := range w.Models {
+		if mm.Method.PreprocessRank() < w.Models[lm.fallback].Method.PreprocessRank() {
+			lm.fallback = i
+		}
+	}
+	if fi != nil {
+		lm.mtime, lm.size = fi.ModTime(), fi.Size()
+	}
 	return lm, nil
 }
 
-// changed reports whether the model file's identity differs from the
-// serving generation — the mtime-poll reload trigger. mtime or size moving
-// is a change; when both match, the envelope checksum breaks the tie, so a
-// same-size rewrite within one timestamp granule (coarse-timestamp
-// filesystems, fast CI) still triggers a reload. Stat errors read as
-// "unchanged": a transient missing file during an external atomic replace
-// must not spam rejected reloads.
-func (f *fileSource) changed(cur *loadedModel) bool {
-	fi, err := os.Stat(f.path)
+// changed reports whether the watched file's identity differs from cur —
+// the mtime-poll reload trigger. mtime or size moving is a change; when
+// both match, the envelope checksum breaks the tie, so a same-size rewrite
+// within one timestamp granule (coarse-timestamp filesystems, fast CI)
+// still triggers a reload. Stat errors read as "unchanged": a transient
+// missing file during an external atomic replace must not spam rejected
+// reloads.
+func (h *modelHolder) changed(cur *loadedModel) bool {
+	fi, err := os.Stat(h.path)
 	if err != nil {
 		return false
 	}
@@ -106,7 +118,7 @@ func (f *fileSource) changed(cur *loadedModel) bool {
 	if cur.sum == "" {
 		return false // legacy non-enveloped file: identity is mtime+size only
 	}
-	sum := peekSum(f.path)
+	sum := peekSum(h.path)
 	return sum != "" && sum != cur.sum
 }
 
@@ -118,69 +130,6 @@ func peekSum(path string) string {
 		return ""
 	}
 	return sum
-}
-
-// registrySource serves the registry's current generation and reloads when
-// the manifest artifact changes on disk (an external promotion; in-process
-// promotions swap the holder directly).
-type registrySource struct {
-	reg *registry.Registry
-}
-
-func (r *registrySource) describe() string { return r.reg.Dir() }
-
-func (r *registrySource) load() (*loadedModel, error) {
-	gen, _, err := r.reg.Refresh()
-	if err != nil {
-		return nil, err
-	}
-	if gen == nil {
-		return nil, fmt.Errorf("serve: registry %s is empty", r.reg.Dir())
-	}
-	lm, err := newLoadedModel(gen.W)
-	if err != nil {
-		return nil, fmt.Errorf("serve: registry generation %s: %w", gen.ID, err)
-	}
-	lm.genID = gen.ID
-	if fi, err := os.Stat(r.reg.ManifestPath()); err == nil {
-		lm.mtime, lm.size = fi.ModTime(), fi.Size()
-	}
-	lm.sum = peekSum(r.reg.ManifestPath())
-	return lm, nil
-}
-
-func (r *registrySource) changed(cur *loadedModel) bool {
-	fi, err := os.Stat(r.reg.ManifestPath())
-	if err != nil {
-		return false
-	}
-	if !fi.ModTime().Equal(cur.mtime) || fi.Size() != cur.size {
-		return true
-	}
-	if cur.sum == "" {
-		return false
-	}
-	sum := peekSum(r.reg.ManifestPath())
-	return sum != "" && sum != cur.sum
-}
-
-// modelHolder owns the current model generation and the reload protocol:
-// the source validates a candidate into a fresh generation, and only a
-// fully valid one is swapped in — a corrupt file on disk leaves the
-// previous generation serving and bumps serve.model_reloads_rejected.
-type modelHolder struct {
-	src modelSource
-	cur atomic.Pointer[loadedModel]
-}
-
-func newModelHolder(src modelSource) (*modelHolder, error) {
-	h := &modelHolder{src: src}
-	lm, err := src.load()
-	if err != nil {
-		return nil, err
-	}
-	h.cur.Store(lm)
-	return h, nil
 }
 
 // current returns the serving generation.
@@ -205,7 +154,7 @@ func (h *modelHolder) reloadCandidate() (*loadedModel, error) {
 	if err := faultinject.Hit("serve.reload.corrupt"); err != nil {
 		return nil, err
 	}
-	return h.src.load()
+	return h.load()
 }
 
 // watch drives hot reload until ctx is cancelled: SIGHUP forces a reload,
@@ -228,7 +177,7 @@ func (h *modelHolder) watch(ctx context.Context, poll time.Duration) {
 		case <-hup:
 			h.logReload(h.Reload())
 		case <-tick.C:
-			if h.src.changed(h.current()) {
+			if h.changed(h.current()) {
 				h.logReload(h.Reload())
 			}
 		}
@@ -240,5 +189,5 @@ func (h *modelHolder) logReload(err error) {
 		obs.Verbosef("serve: %v", err)
 		return
 	}
-	obs.Verbosef("serve: reloaded models from %s (%d models)", h.src.describe(), len(h.current().w.Models))
+	obs.Verbosef("serve: reloaded models from %s (%d models)", h.path, len(h.current().w.Models))
 }

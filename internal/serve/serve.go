@@ -1,7 +1,8 @@
 // Package serve is the long-running inference surface of the WISE
-// reproduction: an HTTP/JSON server that wraps the features -> core.WISE ->
-// SelectFromClasses path in production robustness machinery. Every layer of
-// the request path is failure-isolated (RESILIENCE.md "Serving"):
+// reproduction: an HTTP/JSON server around one request pipeline. Every POST
+// endpoint runs inside one wrapper (endpoint) and reaches the model through
+// one inspector path (inspect: parse -> Table-2 features -> tree inference),
+// and every layer of it is failure-isolated (RESILIENCE.md "Serving"):
 //
 //   - admission control bounds in-flight requests and sheds overload with
 //     429 + Retry-After instead of queueing without bound;
@@ -11,24 +12,23 @@
 //     process;
 //   - ingest is hardened with a request-body cap and matrix.ReadLimits so a
 //     pathological upload cannot OOM the server;
-//   - prediction failures and deadline overruns degrade to the CSR fallback
-//     selection (marked "degraded": true) — a well-formed request always
-//     gets a usable answer;
+//   - on every endpoint, prediction failures and deadline overruns degrade
+//     to the CSR fallback selection (marked "degraded": true, never cached)
+//     — a well-formed request always gets a usable answer;
 //   - a circuit breaker trips to fallback-only mode after consecutive
 //     predictor failures and half-opens on probe requests;
-//   - the model hot-reloads on SIGHUP or mtime change with validation and
-//     rollback (reload.go);
+//   - the model hot-reloads on SIGHUP or a change of the watched file with
+//     validation and rollback (reload.go);
 //   - shutdown drains: stop accepting, finish in-flight within the drain
 //     budget, then exit (the CLI maps this to status 130), recording how
 //     many sessions were still pinned at the signal.
 //
-// On top of the stateless path sits the stateful session layer
-// (internal/session, RESILIENCE.md "Stateful serving"): POST /matrix
-// ingests a MatrixMarket body once and returns its sha256 fingerprint;
-// POST /predict and POST /spmv then accept either an inline body or a
-// fingerprint, reusing the cached parse + features + prediction +
-// converted kernel. A saturated session store degrades those requests to
-// the stateless path ("degraded": true) rather than refusing them.
+// Stateless POST /predict is an inspection alone. The stateful layer
+// (internal/session, RESILIENCE.md "Stateful serving") builds on the same
+// path: POST /matrix caches an inspection plus its converted kernel under
+// the body's sha256 fingerprint, and POST /predict and POST /spmv accept
+// that fingerprint instead of a body. A saturated session store answers
+// from the same build without caching it ("degraded": true).
 //
 // /healthz, /readyz, and /metricz expose liveness, readiness, and an obs
 // snapshot to orchestration.
@@ -46,17 +46,15 @@ import (
 	"time"
 
 	"wise/internal/machine"
-	"wise/internal/matrix"
 	"wise/internal/obs"
 	"wise/internal/registry"
 	"wise/internal/session"
 )
 
-// Config tunes the server. The zero value of any field falls back to the
-// listed default, so callers set only what they need.
+// Config tunes the server; every field but the test hook is a wise-serve
+// flag. A zero field falls back to the listed default.
 type Config struct {
-	ModelPath string          // trained model file from wise-train (required)
-	Mach      machine.Machine // cache geometry for loaded models
+	ModelPath string // trained model file from wise-train (required)
 
 	MaxInFlight int           // concurrent predictions; default 2*GOMAXPROCS
 	MaxQueue    int           // waiting requests beyond MaxInFlight; default == MaxInFlight
@@ -64,7 +62,6 @@ type Config struct {
 
 	RequestTimeout time.Duration // per-request prediction deadline; default 2s
 	MaxBodyBytes   int64         // request-body cap; default 64 MiB
-	Limits         matrix.ReadLimits
 
 	BreakerThreshold int           // consecutive failures that trip the breaker; default 5
 	BreakerCooldown  time.Duration // open -> half-open delay; default 5s
@@ -88,107 +85,44 @@ type Config struct {
 	// retrain, canary-gated promotion, probation rollback.
 	RegistryDir string
 
-	ShadowRate       float64       // fraction of requests shadow-measured; 0 disables
-	ShadowWorkers    int           // measurement workers; default 1
-	ShadowQueue      int           // pending measurement bound; default 16
-	ShadowDeadline   time.Duration // per-measurement budget; default 2s
-	ShadowMaxNNZ     int           // skip matrices larger than this; default 2M
-	ShadowMaxSamples int           // shadow-label store bound; default 512
+	ShadowRate    float64 // fraction of requests shadow-measured; 0 disables
+	ShadowWorkers int     // measurement workers; default 1
 
 	DriftWindow     int     // mismatch-rate window; default 64
 	DriftMinSamples int     // samples before the detector may trip; default 16
 	DriftTrip       float64 // mismatch rate that trips; default 0.5
-	DriftClear      float64 // rate that releases the trip; default DriftTrip/2
-	DriftProbation  int     // post-promotion probation samples; default 2*DriftMinSamples
-
-	RetrainMinSamples int           // labels required to retrain; default 8
-	RetrainDeadline   time.Duration // quarantined training budget; default 30s
-	CanaryHoldout     float64       // held-out validation fraction; default 0.25
-	CanarySeed        int64         // holdout-split seed; default 1
 
 	ShadowMeasure measureFunc // test hook; nil runs the real kernels
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = c.MaxInFlight
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 100 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.Limits == (matrix.ReadLimits{}) {
-		c.Limits = matrix.DefaultReadLimits()
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
+	orDefault(&c.MaxInFlight, 2*runtime.GOMAXPROCS(0))
+	orDefault(&c.MaxQueue, c.MaxInFlight)
+	orDefault(&c.QueueWait, 100*time.Millisecond)
+	orDefault(&c.RequestTimeout, 2*time.Second)
+	orDefault(&c.MaxBodyBytes, 64<<20)
+	orDefault(&c.BreakerThreshold, 5)
+	orDefault(&c.BreakerCooldown, 5*time.Second)
 	if c.ReloadPoll == 0 {
 		c.ReloadPoll = 2 * time.Second
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.SessionBytes <= 0 {
-		c.SessionBytes = 256 << 20
-	}
-	if c.ShadowRate > 1 {
-		c.ShadowRate = 1
-	}
-	if c.ShadowWorkers <= 0 {
-		c.ShadowWorkers = 1
-	}
-	if c.ShadowQueue <= 0 {
-		c.ShadowQueue = 16
-	}
-	if c.ShadowDeadline <= 0 {
-		c.ShadowDeadline = 2 * time.Second
-	}
-	if c.ShadowMaxNNZ <= 0 {
-		c.ShadowMaxNNZ = 2_000_000
-	}
-	if c.ShadowMaxSamples <= 0 {
-		c.ShadowMaxSamples = 512
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = 64
-	}
-	if c.DriftMinSamples <= 0 {
-		c.DriftMinSamples = 16
-	}
+	orDefault(&c.DrainTimeout, 5*time.Second)
+	orDefault(&c.SessionBytes, 256<<20)
+	c.ShadowRate = min(c.ShadowRate, 1)
+	orDefault(&c.ShadowWorkers, 1)
+	orDefault(&c.DriftWindow, 64)
+	orDefault(&c.DriftMinSamples, 16)
 	if c.DriftTrip <= 0 || c.DriftTrip > 1 {
 		c.DriftTrip = 0.5
 	}
-	if c.DriftClear <= 0 || c.DriftClear >= c.DriftTrip {
-		c.DriftClear = c.DriftTrip / 2
-	}
-	if c.DriftProbation <= 0 {
-		c.DriftProbation = 2 * c.DriftMinSamples
-	}
-	if c.RetrainMinSamples <= 0 {
-		c.RetrainMinSamples = 8
-	}
-	if c.RetrainDeadline <= 0 {
-		c.RetrainDeadline = 30 * time.Second
-	}
-	if c.CanaryHoldout <= 0 || c.CanaryHoldout >= 1 {
-		c.CanaryHoldout = 0.25
-	}
-	if c.CanarySeed == 0 {
-		c.CanarySeed = 1
-	}
 	return c
+}
+
+// orDefault replaces a non-positive setting with its default.
+func orDefault[T int | int64 | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Server is one serving instance. Create with New, expose with Handler (for
@@ -198,8 +132,7 @@ type Server struct {
 	models   *modelHolder
 	admit    *admission
 	breaker  *breaker
-	reg      *registry.Registry // nil when serving a plain model file
-	feedback *feedback          // nil when ShadowRate is 0
+	feedback *feedback // nil when ShadowRate is 0
 	sessions *session.Store
 	ready    atomic.Bool
 	mux      *http.ServeMux
@@ -212,12 +145,11 @@ type Server struct {
 // serving generation to gate against yet).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var src modelSource
+	watched := cfg.ModelPath
 	var reg *registry.Registry
 	if cfg.RegistryDir != "" {
 		var err error
-		reg, err = registry.Open(cfg.RegistryDir, cfg.Mach)
-		if err != nil {
+		if reg, err = registry.Open(cfg.RegistryDir, machine.Scaled()); err != nil {
 			return nil, err
 		}
 		if reg.Current() == nil {
@@ -232,18 +164,16 @@ func New(cfg Config) (*Server, error) {
 				return nil, err
 			}
 		}
-		src = &registrySource{reg: reg}
-	} else {
-		src = &fileSource{path: cfg.ModelPath, mach: cfg.Mach}
+		watched = reg.ManifestPath()
 	}
-	models, err := newModelHolder(src)
+	models, err := newModelHolder(watched, reg)
 	if err != nil {
 		return nil, err
 	}
 	sessions, err := session.Open(session.Config{
 		MaxBytes: cfg.SessionBytes,
 		SpillDir: cfg.SessionSpillDir,
-		RowBlock: models.current().w.Mach.RowBlock,
+		RowBlock: machine.Scaled().RowBlock,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening session store: %w", err)
@@ -253,16 +183,15 @@ func New(cfg Config) (*Server, error) {
 		models:   models,
 		admit:    newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		reg:      reg,
 		sessions: sessions,
 	}
 	if cfg.ShadowRate > 0 {
-		s.feedback = newFeedback(cfg, reg, models)
+		s.feedback = newFeedback(cfg, models)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /predict", s.handlePredict)
-	s.mux.HandleFunc("POST /matrix", s.handleMatrix)
-	s.mux.HandleFunc("POST /spmv", s.handleSpMV)
+	s.mux.HandleFunc("POST /predict", s.endpoint(nil, s.handlePredict))
+	s.mux.HandleFunc("POST /matrix", s.endpoint(requestsMatrix, s.handleMatrix))
+	s.mux.HandleFunc("POST /spmv", s.endpoint(requestsSpMV, s.handleSpMV))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)
@@ -281,7 +210,7 @@ func (s *Server) GenerationID() string { return s.models.current().genID }
 
 // Registry returns the backing model registry, or nil for a file-backed
 // server.
-func (s *Server) Registry() *registry.Registry { return s.reg }
+func (s *Server) Registry() *registry.Registry { return s.models.reg }
 
 // Sessions returns the prepared-matrix session store.
 func (s *Server) Sessions() *session.Store { return s.sessions }
@@ -321,22 +250,17 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	watchCtx, cancelWatch := context.WithCancel(ctx)
 	defer cancelWatch()
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.models.watch(watchCtx, s.cfg.ReloadPoll)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.RunFeedback(watchCtx)
-	}()
 	serveErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		serveErr <- srv.Serve(ln)
-	}()
+	spawn := func(run func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	spawn(func() { s.models.watch(watchCtx, s.cfg.ReloadPoll) })
+	spawn(func() { s.RunFeedback(watchCtx) })
+	spawn(func() { serveErr <- srv.Serve(ln) })
 	s.ready.Store(true)
 	defer s.ready.Store(false)
 

@@ -81,7 +81,7 @@ func buildTestModel(path string) error {
 
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := Config{ModelPath: sharedModelPath, Mach: machine.Scaled(), ReloadPoll: -1}
+	cfg := Config{ModelPath: sharedModelPath, ReloadPoll: -1}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -186,10 +186,9 @@ func TestPredictBodyCap(t *testing.T) {
 }
 
 func TestPredictReadLimits(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Limits = matrix.ReadLimits{MaxRows: 100, MaxCols: 100, MaxNNZ: 1000}
-	})
-	status, _, _ := postPredict(t, ts.URL, mmBytes(t, testMatrix(t))) // 200x200
+	_, ts := newTestServer(t, nil)
+	body := []byte("%%MatrixMarket matrix coordinate real general\n3000000000 4 1\n1 1 1.0\n")
+	status, _, _ := postPredict(t, ts.URL, body) // rows past the MaxInt32 default limit
 	if status != http.StatusBadRequest {
 		t.Errorf("over-limit matrix: status = %d, want 400", status)
 	}
@@ -240,25 +239,54 @@ func TestLoadShed(t *testing.T) {
 }
 
 // TestDegradedOnPredictError is the acceptance scenario: with
-// serve.predict.error:times=all, every well-formed request still gets a 200
-// with the CSR fallback, marked degraded.
+// serve.predict.error:times=all, every well-formed request to every POST
+// endpoint still gets a 200 with the CSR fallback, marked degraded. The
+// degraded inspection is never cached, and /spmv still computes the right y.
 func TestDegradedOnPredictError(t *testing.T) {
 	armFaults(t, "serve.predict.error:error:times=all")
-	_, ts := newTestServer(t, nil)
-	body := mmBytes(t, testMatrix(t))
-	for i := 0; i < 3; i++ {
-		status, pr, _ := postPredict(t, ts.URL, body)
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status = %d, want 200 (degraded, never failed)", i, status)
+	m := testMatrix(t)
+	body := mmBytes(t, m)
+	want := make([]float64, m.Rows)
+	m.SpMV(want, matrix.Ones(m.Cols))
+	for _, endpoint := range []string{"/predict", "/matrix", "/spmv"} {
+		// A fresh server per endpoint: three failures stay under the
+		// default breaker threshold, so every request reaches the predictor.
+		s, ts := newTestServer(t, nil)
+		for i := 0; i < 3; i++ {
+			var method, reason string
+			var degraded bool
+			switch endpoint {
+			case "/predict":
+				status, pr, _ := postPredict(t, ts.URL, body)
+				if status != http.StatusOK {
+					t.Fatalf("%s request %d: status = %d, want 200 (degraded, never failed)", endpoint, i, status)
+				}
+				method, reason, degraded = pr.Method, pr.Reason, pr.Degraded
+			case "/matrix":
+				status, mr := postMatrix(t, ts.URL, body)
+				if status != http.StatusOK || mr.Stored || mr.Fingerprint == "" {
+					t.Fatalf("%s request %d: status=%d resp=%+v, want 200 unstored", endpoint, i, status, mr)
+				}
+				method, reason, degraded = mr.Method, mr.Reason, mr.Degraded
+			case "/spmv":
+				status, sr, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: string(body)})
+				if status != http.StatusOK {
+					t.Fatalf("%s request %d: status=%d body=%s, want 200", endpoint, i, status, raw)
+				}
+				if d := matrix.MaxAbsDiff(sr.Y, want); d > 1e-9 {
+					t.Fatalf("%s request %d: degraded result off by %g", endpoint, i, d)
+				}
+				method, reason, degraded = sr.Method, sr.Reason, sr.Degraded
+			}
+			if !degraded || reason != reasonPredictError {
+				t.Fatalf("%s request %d: degraded=%v reason=%q, want predict-error", endpoint, i, degraded, reason)
+			}
+			if !strings.Contains(method, "CSR") {
+				t.Errorf("%s request %d: fallback method = %q, want CSR", endpoint, i, method)
+			}
 		}
-		if !pr.Degraded {
-			t.Fatalf("request %d: degraded = false under injected predictor failure", i)
-		}
-		if pr.Reason != reasonPredictError && pr.Reason != reasonBreakerOpen {
-			t.Errorf("request %d: reason = %q", i, pr.Reason)
-		}
-		if !strings.Contains(pr.Method, "CSR") {
-			t.Errorf("request %d: fallback method = %q, want CSR", i, pr.Method)
+		if st := s.Sessions().Stats(); st.Entries != 0 {
+			t.Fatalf("%s: degraded inspections were cached: %+v", endpoint, st)
 		}
 	}
 }
@@ -313,20 +341,30 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
-// TestHandlerPanicRecovered injects a panic into the handler: that request
-// gets a 500, and the server keeps answering afterwards.
+// TestHandlerPanicRecovered injects a panic into each POST handler: that
+// request gets a 500, and the server keeps answering afterwards.
 func TestHandlerPanicRecovered(t *testing.T) {
-	armFaults(t, "serve.handler.panic:panic")
 	_, ts := newTestServer(t, nil)
 	body := mmBytes(t, testMatrix(t))
-
-	status, _, _ := postPredict(t, ts.URL, body)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("panicking request: status = %d, want 500", status)
+	post := map[string]func() int{
+		"/predict": func() int { status, _, _ := postPredict(t, ts.URL, body); return status },
+		"/matrix":  func() int { status, _ := postMatrix(t, ts.URL, body); return status },
+		"/spmv": func() int {
+			status, _, _ := postSpMV(t, ts.URL, spmvRequest{Matrix: string(body)})
+			return status
+		},
 	}
-	status, pr, _ := postPredict(t, ts.URL, body)
-	if status != http.StatusOK || pr.Degraded {
-		t.Fatalf("request after panic: status=%d degraded=%v, want healthy 200", status, pr.Degraded)
+	for _, endpoint := range []string{"/predict", "/matrix", "/spmv"} {
+		armFaults(t, "serve.handler.panic:panic")
+		if status := post[endpoint](); status != http.StatusInternalServerError {
+			t.Fatalf("%s panicking request: status = %d, want 500", endpoint, status)
+		}
+		if status := post[endpoint](); status != http.StatusOK {
+			t.Fatalf("%s request after panic: status=%d, want 200", endpoint, status)
+		}
+	}
+	if status, pr, _ := postPredict(t, ts.URL, body); status != http.StatusOK || pr.Degraded {
+		t.Fatalf("request after panics: status=%d degraded=%v, want healthy 200", status, pr.Degraded)
 	}
 }
 
@@ -429,7 +467,6 @@ func TestHealthEndpoints(t *testing.T) {
 func TestServeDrain(t *testing.T) {
 	s, err := New(Config{
 		ModelPath:    sharedModelPath,
-		Mach:         machine.Scaled(),
 		DrainTimeout: time.Second,
 		ReloadPoll:   10 * time.Millisecond,
 	})
@@ -578,14 +615,11 @@ func TestConfigDefaults(t *testing.T) {
 		c.BreakerCooldown <= 0 || c.ReloadPoll <= 0 || c.DrainTimeout <= 0 {
 		t.Fatalf("zero config did not fill defaults: %+v", c)
 	}
-	if c.Limits == (matrix.ReadLimits{}) {
-		t.Fatal("zero config did not fill read limits")
-	}
 }
 
 func TestNewRejectsBadModelPath(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope.json")
-	_, err := New(Config{ModelPath: missing, Mach: machine.Scaled()})
+	_, err := New(Config{ModelPath: missing})
 	if err == nil || !strings.Contains(err.Error(), missing) {
 		t.Fatalf("New with missing model: err = %v, want path in message", err)
 	}

@@ -10,30 +10,30 @@ import (
 	"net/http"
 	"time"
 
-	"wise/internal/features"
+	"wise/internal/core"
 	"wise/internal/kernels"
 	"wise/internal/matrix"
 	"wise/internal/session"
 )
 
 // The stateful endpoints (RESILIENCE.md "Stateful serving"): POST /matrix
-// prepares a session — parse, feature extraction, prediction, format
-// conversion — exactly once per distinct body and returns its sha256
-// fingerprint; POST /spmv executes the selected kernel against the cached
-// converted artifact, warm when addressed by fingerprint. Saturation of the
-// session store degrades both to the stateless path, marked
-// "degraded": true — never a refusal.
+// prepares a session — one inspection plus format conversion — exactly once
+// per distinct body and returns its sha256 fingerprint; POST /spmv executes
+// the selected kernel against the cached converted artifact, warm when
+// addressed by fingerprint. A saturated session store or a degraded
+// inspection answers both from a request-local build that is never cached,
+// marked "degraded": true — never a refusal.
 
 // errBadMatrix classifies a session build failure as the client's fault
 // (unparseable or over-limit matrix), mapping to 400 instead of 500.
 var errBadMatrix = errors.New("serve: bad matrix body")
 
-// reasonSessionSaturated marks answers produced by the stateless path
+// reasonSessionSaturated marks answers produced by a request-local build
 // because the session store could not admit the entry.
 const reasonSessionSaturated = "session-saturated"
 
 // matrixResponse is the JSON body of a /matrix answer: the prediction plus
-// the session handle. Stored is false on the degraded stateless path (the
+// the session handle. Stored is false for a request-local build (the
 // fingerprint is still reported so the client can retry warm later);
 // Cached is true when the upload hit an already-prepared session.
 type matrixResponse struct {
@@ -75,178 +75,125 @@ const (
 	spmvMaxIterations = 10000 // request-abuse bound on chained multiplies
 )
 
-// prepare is the session BuildFunc: one full inspector pass over an
-// uploaded body under the request's deadline. Parse failures are wrapped in
-// errBadMatrix so the handler answers 400, not 500.
-func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (*session.Prepared, error) {
-	m, err := matrix.ReadMatrixMarketLimited(bytes.NewReader(body), s.cfg.Limits)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadMatrix, err)
-	}
-	feat, err := features.ExtractCtx(ctx, m, lm.w.FeatureCfg)
-	if err != nil {
-		return nil, err
-	}
-	sel := lm.w.SelectFromFeatures(feat)
-	return &session.Prepared{
-		M:      m,
-		Feat:   feat,
-		Sel:    sel,
-		GenID:  lm.genID,
-		Format: kernels.Build(m, sel.Method, lm.w.Mach.RowBlock),
-	}, nil
+// errUncached marks a degraded inspection inside a session build: it is
+// answered, but its fallback selection is never cached.
+var errUncached = errors.New("serve: degraded inspection is not cached")
+
+// prepared is a session build's outcome for one request body: a pinned
+// store entry, or — when the store is saturated or the inspection degraded
+// — a request-local build that was never inserted.
+type prepared struct {
+	fp     string
+	ent    *session.Entry    // pinned; nil for a request-local build
+	hit    bool              // ent came from the cache or another upload's build
+	local  *session.Prepared // the request-local build when ent is nil
+	reason string            // degradation reason of the request-local build
 }
 
-// readBody drains the capped request body. On failure it writes the error
-// response (413 for an over-cap body, 400 otherwise) and reports false.
+// prepare resolves a body to its session: a cache hit, or a singleflight-
+// deduplicated build (inspection + format conversion) inserted into the
+// store. A saturated store or degraded inspection keeps the build
+// request-local. Parse failures wrap errBadMatrix: 400, not 500.
+func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (prepared, error) {
+	pr := prepared{fp: session.Fingerprint(body)}
+	build := func(ctx context.Context) (*session.Prepared, error) {
+		in, err := s.inspect(ctx, lm, bytes.NewReader(body))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errBadMatrix, err)
+		}
+		pr.reason = in.reason
+		pr.local = &session.Prepared{M: in.m, Feat: in.feat, Sel: in.sel, GenID: lm.genID,
+			Format: kernels.Build(in.m, in.sel.Method, lm.w.Mach.RowBlock)}
+		if in.reason != "" {
+			return nil, errUncached
+		}
+		return pr.local, nil
+	}
+	var err error
+	pr.ent, pr.hit, err = s.sessions.GetOrCreate(ctx, pr.fp, build)
+	switch {
+	case err == nil:
+		return pr, nil
+	case errors.Is(err, session.ErrSaturated):
+		sessionsDegraded.Inc()
+	case !errors.Is(err, errUncached):
+		return pr, err
+	}
+	if pr.local == nil {
+		// A singleflight waiter: the leader's build is not ours to reuse.
+		if _, err := build(ctx); err != nil && !errors.Is(err, errUncached) {
+			return pr, err
+		}
+	}
+	if pr.reason == "" {
+		pr.reason = reasonSessionSaturated
+	}
+	return pr, nil
+}
+
+// selection returns the matrix and the current selection of a prepared
+// request, re-predicting a cached entry after a model-generation change.
+func (s *Server) selection(pr prepared, lm *loadedModel) (*matrix.CSR, core.Selection) {
+	if pr.ent == nil {
+		return pr.local.M, pr.local.Sel
+	}
+	return pr.ent.Matrix(), s.sessions.Refresh(pr.ent, lm.genID, lm.w.SelectFromFeatures)
+}
+
+// buildFailed answers a failed session build: 400 for a bad body, 500 for
+// an internal failure, and onDeadline when the request deadline is gone.
+func buildFailed(ctx context.Context, w http.ResponseWriter, err error, onDeadline func()) {
+	switch {
+	case errors.Is(err, errBadMatrix):
+		rejectBody(w, err)
+	case ctx.Err() != nil:
+		onDeadline()
+	default:
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	}
+}
+
+// readBody drains the capped request body; on failure it answers the
+// request and reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		requestsRejected.Inc()
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		rejectBody(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
-// handleMatrix ingests a matrix into the session store: admission, deadline,
-// bounded read, then a singleflight-deduplicated inspector pass. The
-// response always carries the fingerprint; when the store is saturated the
-// answer comes from the stateless path with "degraded": true.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	requestsTotal.Inc()
-	requestsMatrix.Inc()
-	defer func() {
-		if rec := recover(); rec != nil {
-			requestsPanicked.Inc()
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
-		}
-		requestSeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	if err := s.admit.acquire(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			requestsShed.Inc()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	defer s.admit.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
+// handleMatrix ingests a matrix into the session store and always answers
+// with the fingerprint; a blown deadline degrades to the fallback.
+func (s *Server) handleMatrix(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	fp := session.Fingerprint(body)
 	lm := s.models.current()
-	ent, hit, err := s.sessions.GetOrCreate(ctx, fp, func(ctx context.Context) (*session.Prepared, error) {
-		return s.prepare(ctx, lm, body)
-	})
+	pr, err := s.prepare(ctx, lm, body)
 	if err != nil {
-		s.answerMatrixFallback(ctx, w, lm, fp, body, err, start)
+		buildFailed(ctx, w, err, func() {
+			writeJSON(w, http.StatusOK, matrixResponse{
+				predictResponse: selectionResponse(lm.fallbackSelection(), reasonDeadline, pr.fp, nil, start)})
+		})
 		return
 	}
-	defer s.sessions.Release(ent)
-
-	sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-	m := ent.Matrix()
-	resp := matrixResponse{Stored: true}
-	resp.Method = sel.Method.String()
-	resp.Index = sel.Index
-	resp.PredictedClass = sel.PredictedClass
-	resp.Classes = sel.Classes
-	resp.Fingerprint, resp.Cached = fp, hit
-	resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	if pr.ent != nil {
+		defer s.sessions.Release(pr.ent)
+	}
+	m, sel := s.selection(pr, lm)
+	resp := matrixResponse{predictResponse: selectionResponse(sel, pr.reason, pr.fp, m, start), Stored: pr.ent != nil}
+	resp.Cached = pr.hit
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// answerMatrixFallback classifies a failed session build. Client mistakes
-// are 4xx; a saturated store degrades to the stateless predict path (the
-// fingerprint still reported, Stored false) so the upload is answered, not
-// refused; a blown deadline degrades to the CSR fallback like /predict.
-func (s *Server) answerMatrixFallback(ctx context.Context, w http.ResponseWriter, lm *loadedModel, fp string, body []byte, err error, start time.Time) {
-	switch {
-	case errors.Is(err, errBadMatrix):
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	case errors.Is(err, session.ErrSaturated):
-		sessionsDegraded.Inc()
-		m, parseErr := matrix.ReadMatrixMarketLimited(bytes.NewReader(body), s.cfg.Limits)
-		if parseErr != nil {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: parseErr.Error()})
-			return
-		}
-		pr, _, _ := s.selectMethod(ctx, lm, m)
-		if !pr.Degraded {
-			pr.Degraded, pr.Reason = true, reasonSessionSaturated
-		}
-		requestsDegraded.Inc()
-		resp := matrixResponse{predictResponse: pr}
-		resp.Fingerprint = fp
-		resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	case ctx.Err() != nil:
-		requestsDegraded.Inc()
-		resp := matrixResponse{predictResponse: fallbackResponse(lm, reasonDeadline)}
-		resp.Fingerprint = fp
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	}
 }
 
 // handleSpMV executes y = A^k x against a prepared session (warm: the
 // cached converted artifact, zero preprocessing) or an inline body (cold:
 // the full inspector pass, cached for next time). The execution pins the
 // session, so eviction cannot free the artifact mid-multiply.
-func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	requestsTotal.Inc()
-	requestsSpMV.Inc()
-	defer func() {
-		if rec := recover(); rec != nil {
-			requestsPanicked.Inc()
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
-		}
-		requestSeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	if err := s.admit.acquire(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			requestsShed.Inc()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	defer s.admit.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
+func (s *Server) handleSpMV(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return
@@ -272,145 +219,81 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	}
 
 	lm := s.models.current()
-	if req.Fingerprint != "" {
-		ent, ok := s.sessions.Acquire(req.Fingerprint)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("serve: unknown fingerprint %s; upload via POST /matrix first", req.Fingerprint)})
+	pr := prepared{fp: req.Fingerprint, hit: true}
+	if pr.fp != "" {
+		if pr.ent, ok = s.acquireSession(w, pr.fp); !ok {
 			return
 		}
-		defer s.sessions.Release(ent)
-		spmvWarm.Inc()
-		sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-		s.answerSpMVSession(ctx, w, ent, sel.Method.String(), req, true, start)
-		return
+	} else {
+		var err error
+		if pr, err = s.prepare(ctx, lm, []byte(req.Matrix)); err != nil {
+			// The execution itself cannot be faked by a fallback answer.
+			buildFailed(ctx, w, err, func() {
+				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+			})
+			return
+		}
 	}
-
-	// Inline body: content-address it and prepare (or reuse) the session.
-	inline := []byte(req.Matrix)
-	fp := session.Fingerprint(inline)
-	ent, hit, err := s.sessions.GetOrCreate(ctx, fp, func(ctx context.Context) (*session.Prepared, error) {
-		return s.prepare(ctx, lm, inline)
-	})
-	if err != nil {
-		s.answerSpMVFallback(ctx, w, lm, fp, inline, req, err, start)
-		return
+	if pr.ent != nil {
+		defer s.sessions.Release(pr.ent)
 	}
-	defer s.sessions.Release(ent)
-	if hit {
+	if pr.hit {
 		spmvWarm.Inc()
 	} else {
 		spmvCold.Inc()
 	}
-	req.Fingerprint = fp
-	sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-	s.answerSpMVSession(ctx, w, ent, sel.Method.String(), req, hit, start)
+	s.execSpMV(ctx, w, lm, pr, req, start)
 }
 
-// answerSpMVSession validates the vector shape and runs the pinned
-// session's cached kernel.
-func (s *Server) answerSpMVSession(ctx context.Context, w http.ResponseWriter, ent *session.Entry, method string, req spmvRequest, warm bool, start time.Time) {
-	m := ent.Matrix()
-	x, errResp := spmvVector(m, req)
-	if errResp != "" {
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: errResp})
-		return
-	}
-	y, err := s.sessions.Exec(ctx, ent, x, req.Iterations, kernels.DefaultWorkers())
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, spmvResult(req.Fingerprint, method, warm, false, "", m, req.Iterations, y, start))
-}
-
-// answerSpMVFallback handles a failed session build for an inline /spmv:
-// 4xx for client mistakes, a stateless one-shot execution marked degraded
-// when the store is saturated, 503 when the deadline is already gone (the
-// execution itself cannot be faked by a fallback answer).
-func (s *Server) answerSpMVFallback(ctx context.Context, w http.ResponseWriter, lm *loadedModel, fp string, inline []byte, req spmvRequest, err error, start time.Time) {
+// execSpMV validates the vector shape and runs the selected kernel: the
+// pinned session's cached one, or the request-local build's, which needs no
+// pinning or execution serialization. X defaults to all ones, and y is
+// echoed only for small results.
+func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loadedModel, pr prepared, req spmvRequest, start time.Time) {
+	m, sel := s.selection(pr, lm)
+	x, refusal := req.X, ""
 	switch {
-	case errors.Is(err, errBadMatrix):
+	case req.Iterations > 1 && m.Rows != m.Cols:
+		refusal = fmt.Sprintf("serve: iterations > 1 needs a square matrix, got %dx%d", m.Rows, m.Cols)
+	case x == nil:
+		x = matrix.Ones(m.Cols)
+	case len(x) != m.Cols:
+		refusal = fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(x), m.Cols)
+	}
+	if refusal != "" {
 		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: refusal})
 		return
-	case errors.Is(err, session.ErrSaturated):
-		sessionsDegraded.Inc()
-		spmvCold.Inc()
-		m, parseErr := matrix.ReadMatrixMarketLimited(bytes.NewReader(inline), s.cfg.Limits)
-		if parseErr != nil {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: parseErr.Error()})
-			return
-		}
-		x, errResp := spmvVector(m, req)
-		if errResp != "" {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: errResp})
-			return
-		}
-		// Stateless: select (with the usual degradation ladder), convert,
-		// execute, discard. The format is request-local, so no pinning or
-		// execution serialization is needed.
-		pr, sel, predicted := s.selectMethod(ctx, lm, m)
-		method := sel.Method
-		if !predicted {
-			method = lm.w.Models[lm.fallback].Method
-		}
-		f := kernels.Build(m, method, lm.w.Mach.RowBlock)
-		y, execErr := kernels.Iterate(ctx, f, m.Rows, x, req.Iterations, kernels.DefaultWorkers())
-		if execErr != nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "serve: spmv: " + execErr.Error()})
-			return
-		}
+	}
+	var y []float64
+	var err error
+	if pr.ent != nil {
+		y, err = s.sessions.Exec(ctx, pr.ent, x, req.Iterations, kernels.DefaultWorkers())
+	} else {
+		y, err = kernels.Iterate(ctx, pr.local.Format, m.Rows, x, req.Iterations, kernels.DefaultWorkers())
+	}
+	if err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "serve: spmv: " + err.Error()})
+		return
+	}
+	if pr.reason != "" {
 		requestsDegraded.Inc()
-		reason := pr.Reason
-		if reason == "" {
-			reason = reasonSessionSaturated
-		}
-		writeJSON(w, http.StatusOK, spmvResult(fp, method.String(), false, true, reason, m, req.Iterations, y, start))
-		return
-	case ctx.Err() != nil:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
-}
-
-// spmvVector resolves the input vector for a request: the client's x
-// (length-checked) or the all-ones default. Multi-iteration runs need a
-// square matrix; the error string is empty on success.
-func spmvVector(m *matrix.CSR, req spmvRequest) ([]float64, string) {
-	if req.Iterations > 1 && m.Rows != m.Cols {
-		return nil, fmt.Sprintf("serve: iterations > 1 needs a square matrix, got %dx%d", m.Rows, m.Cols)
-	}
-	if req.X == nil {
-		return matrix.Ones(m.Cols), ""
-	}
-	if len(req.X) != m.Cols {
-		return nil, fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(req.X), m.Cols)
-	}
-	return req.X, ""
-}
-
-// spmvResult assembles the response, echoing y only for small results.
-func spmvResult(fp, method string, warm, degraded bool, reason string, m *matrix.CSR, iters int, y []float64, start time.Time) spmvResponse {
 	resp := spmvResponse{
-		Fingerprint: fp,
-		Method:      method,
-		Warm:        warm,
-		Degraded:    degraded,
-		Reason:      reason,
+		Fingerprint: pr.fp,
+		Method:      sel.Method.String(),
+		Warm:        pr.hit,
+		Degraded:    pr.reason != "",
+		Reason:      pr.reason,
 		Rows:        m.Rows,
 		Cols:        m.Cols,
 		NNZ:         m.NNZ(),
-		Iterations:  iters,
+		Iterations:  req.Iterations,
 		YNorm:       matrix.Norm2(y),
 		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if m.Rows <= spmvInlineRows {
 		resp.Y = y
 	}
-	return resp
+	writeJSON(w, http.StatusOK, resp)
 }

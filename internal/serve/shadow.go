@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"wise/internal/core"
+	"wise/internal/features"
 	"wise/internal/kernels"
 	"wise/internal/matrix"
 	"wise/internal/obs"
@@ -16,13 +15,14 @@ import (
 )
 
 // shadowJob is one sampled /predict request queued for off-path measurement:
-// the parsed matrix, the selection the server answered with, and the
-// generation that produced it (so a reload mid-flight cannot attribute a
-// measurement to the wrong model).
+// the inspection the server answered from, and the generation that produced
+// it (so a reload mid-flight cannot attribute a measurement to the wrong
+// model).
 type shadowJob struct {
-	m   *matrix.CSR
-	sel core.Selection
-	lm  *loadedModel
+	m    *matrix.CSR
+	feat features.Features
+	sel  core.Selection
+	lm   *loadedModel
 }
 
 // measureFunc measures the selected method against the CSR baseline for one
@@ -34,77 +34,41 @@ type measureFunc func(job shadowJob, deadline time.Time) (tSel, tBase float64, e
 // errShadowDeadline marks a measurement abandoned at its deadline.
 var errShadowDeadline = errors.New("serve: shadow measurement deadline exceeded")
 
-// shadowPool runs sampled shadow measurements in a bounded worker pool off
-// the request path. Enqueueing never blocks a request: a full queue drops
-// the sample (serve.shadow_dropped), and each worker quarantines panics so
-// a kernel bug in shadow execution cannot take down serving.
-type shadowPool struct {
-	jobs     chan shadowJob
-	period   uint64 // sample every period-th eligible request
-	maxNNZ   int
-	deadline time.Duration
-	measure  measureFunc
-	onResult func(job shadowJob, tSel, tBase float64)
+// Fixed bounds of the shadow lane.
+const (
+	shadowQueue  = 16              // pending measurements; more are dropped
+	shadowBudget = 2 * time.Second // per-measurement deadline
+	shadowMaxNNZ = 2_000_000       // larger matrices are skipped
+)
 
-	seen atomic.Uint64 // eligible requests observed, for period sampling
-}
-
-func newShadowPool(rate float64, queue, maxNNZ int, deadline time.Duration,
-	measure measureFunc, onResult func(shadowJob, float64, float64)) *shadowPool {
-	period := uint64(1)
-	if rate < 1 {
-		period = uint64(math.Round(1 / rate))
-	}
-	return &shadowPool{
-		jobs:     make(chan shadowJob, queue),
-		period:   period,
-		maxNNZ:   maxNNZ,
-		deadline: deadline,
-		measure:  measure,
-		onResult: onResult,
-	}
-}
-
-// offer samples the request stream: every period-th healthy prediction is
-// queued for measurement, non-blocking. Deterministic counter-based sampling
-// (rather than a coin flip) keeps the feedback-loop tests reproducible and
-// spreads load evenly.
-func (p *shadowPool) offer(m *matrix.CSR, sel core.Selection, lm *loadedModel) {
-	n := p.seen.Add(1)
-	if (n-1)%p.period != 0 {
+// offer queues every period-th healthy prediction for the shadow workers,
+// off the request path; a full queue drops the sample (shadow_dropped).
+// Counter-based sampling, not a coin flip, keeps the feedback-loop tests
+// reproducible and spreads load evenly.
+func (f *feedback) offer(in inspection, lm *loadedModel) {
+	n := f.seen.Add(1)
+	if (n-1)%f.period != 0 {
 		return
 	}
-	if p.maxNNZ > 0 && m.NNZ() > p.maxNNZ {
+	if in.m.NNZ() > shadowMaxNNZ {
 		shadowSkipped.Inc()
 		return
 	}
 	select {
-	case p.jobs <- shadowJob{m: m, sel: sel, lm: lm}:
+	case f.jobs <- shadowJob{m: in.m, feat: in.feat, sel: in.sel, lm: lm}:
 		shadowSampled.Inc()
 	default:
 		shadowDropped.Inc()
 	}
 }
 
-// run is one worker: drain jobs until ctx cancels.
-func (p *shadowPool) run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case job := <-p.jobs:
-			p.processJob(job)
-		}
-	}
-}
-
-// processJob measures one job inside the quarantine: a panic (including the
+// measureJob measures one job inside the quarantine: a panic (including the
 // injected shadow.exec.panic fault) is recovered and counted, a deadline
 // overrun is counted and abandoned, and only a clean measurement reaches
 // onResult. Shadow execution shares a process with serving, so this
 // boundary is what keeps a pathological sampled matrix from becoming a
 // crashed server.
-func (p *shadowPool) processJob(job shadowJob) {
+func (f *feedback) measureJob(job shadowJob) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			shadowPanics.Inc()
@@ -115,7 +79,7 @@ func (p *shadowPool) processJob(job shadowJob) {
 		panic(fmt.Sprintf("injected: %v", err))
 	}
 	start := time.Now()
-	tSel, tBase, err := p.measure(job, start.Add(p.deadline))
+	tSel, tBase, err := f.measure(job, start.Add(shadowBudget))
 	shadowSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if errors.Is(err, errShadowDeadline) {
@@ -125,56 +89,32 @@ func (p *shadowPool) processJob(job shadowJob) {
 		}
 		return
 	}
-	p.onResult(job, tSel, tBase)
+	f.onResult(job, tSel, tBase)
 }
 
 // measureKernels is the production measureFunc: build the selected format
 // and the generation's CSR fallback, run each serially (one warmup, then
-// minimum over reps), and report wall-clock seconds. Serial execution keeps
-// the shadow lane from stealing the parallel workers that serve requests;
-// the relative time of two serial runs is what perf.ClassOf classifies.
+// minimum over reps), and report wall-clock seconds, abandoning at the
+// deadline. Serial execution keeps the shadow lane from stealing the
+// parallel workers that serve requests; the relative time of two serial
+// runs is what perf.ClassOf classifies.
 func measureKernels(job shadowJob, deadline time.Time) (tSel, tBase float64, err error) {
 	const reps = 3
 	m, lm := job.m, job.lm
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float64, m.Rows)
-
-	selFmt := kernels.Build(m, job.sel.Method, lm.w.Mach.RowBlock)
-	if time.Now().After(deadline) {
-		return 0, 0, errShadowDeadline
-	}
-	baseFmt := kernels.Build(m, lm.w.Models[lm.fallback].Method, lm.w.Mach.RowBlock)
-	if time.Now().After(deadline) {
-		return 0, 0, errShadowDeadline
-	}
-	tSel, err = timeSpMV(selFmt, y, x, reps, deadline)
-	if err != nil {
-		return 0, 0, err
-	}
-	tBase, err = timeSpMV(baseFmt, y, x, reps, deadline)
-	if err != nil {
-		return 0, 0, err
-	}
-	return tSel, tBase, nil
-}
-
-// timeSpMV runs one warmup then reps timed serial SpMVs, returning the
-// minimum wall-clock seconds, abandoning at the deadline.
-func timeSpMV(f kernels.Format, y, x []float64, reps int, deadline time.Time) (float64, error) {
-	f.SpMV(y, x) // warmup: page in the format
-	best := math.Inf(1)
-	for i := 0; i < reps; i++ {
-		if time.Now().After(deadline) {
-			return 0, errShadowDeadline
-		}
-		t0 := time.Now()
-		f.SpMV(y, x)
-		if d := time.Since(t0).Seconds(); d < best {
-			best = d
+	x, y := matrix.Ones(m.Cols), make([]float64, m.Rows)
+	t := [2]float64{math.Inf(1), math.Inf(1)}
+	for i, method := range []kernels.Method{job.sel.Method, lm.w.Models[lm.fallback].Method} {
+		f := kernels.Build(m, method, lm.w.Mach.RowBlock)
+		for rep := -1; rep < reps; rep++ { // rep -1 is the warmup: page in the format
+			if time.Now().After(deadline) {
+				return 0, 0, errShadowDeadline
+			}
+			t0 := time.Now()
+			f.SpMV(y, x)
+			if d := time.Since(t0).Seconds(); rep >= 0 && d < t[i] {
+				t[i] = d
+			}
 		}
 	}
-	return best, nil
+	return t[0], t[1], nil
 }

@@ -62,7 +62,8 @@ type Config struct {
 	// checksummed envelopes; Open rehydrates it.
 	SpillDir string
 	// RowBlock is the kernels row-block parameter used when a rehydrated or
-	// re-predicted entry rebuilds its converted format.
+	// re-predicted entry rebuilds its converted format; 0 selects the
+	// kernels default, the same row block kernels.Build gives a fresh build.
 	RowBlock int
 }
 
@@ -182,9 +183,6 @@ func Fingerprint(body []byte) string {
 func Open(cfg Config) (*Store, error) {
 	if cfg.MaxBytes <= 0 {
 		return nil, fmt.Errorf("session: MaxBytes must be positive, got %d", cfg.MaxBytes)
-	}
-	if cfg.RowBlock <= 0 {
-		cfg.RowBlock = 1024
 	}
 	s := &Store{
 		maxBytes: cfg.MaxBytes,

@@ -372,7 +372,7 @@ func TestWaiterDeadline(t *testing.T) {
 }
 
 func TestRefreshRepredictsOnlyOnGenerationChange(t *testing.T) {
-	s := mustOpen(t, Config{MaxBytes: 1 << 20, RowBlock: 64})
+	s := mustOpen(t, Config{MaxBytes: 1 << 20})
 	e, _, err := s.GetOrCreate(context.Background(), "fp", buildOf(testPrepared(64, 1), nil))
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestSpillRehydrate(t *testing.T) {
 		t.Fatalf("spills: %+v", st)
 	}
 
-	s2 := mustOpen(t, Config{MaxBytes: 1 << 20, SpillDir: dir, RowBlock: 64})
+	s2 := mustOpen(t, Config{MaxBytes: 1 << 20, SpillDir: dir})
 	st := s2.Stats()
 	if st.Recoveries != 2 || st.Entries != 2 || st.Quarantined != 0 {
 		t.Fatalf("rehydration: %+v", st)
@@ -512,7 +512,7 @@ func TestCrashMidSpillRestart(t *testing.T) {
 func TestCrashMidEvictionRestart(t *testing.T) {
 	dir := t.TempDir()
 	one := preparedCost(testPrepared(48, 1).M)
-	cfg := Config{MaxBytes: 2*one + one/2, SpillDir: dir, RowBlock: 64}
+	cfg := Config{MaxBytes: 2*one + one/2, SpillDir: dir}
 	s1 := mustOpen(t, cfg)
 	ctx := context.Background()
 	for i, fp := range []string{"aaaa", "bbbb"} {
@@ -584,7 +584,7 @@ func TestEvictRaceErrorDegrades(t *testing.T) {
 // Exec (for the handler's per-request recovery to catch) while the store —
 // including the pinned entry — stays fully usable afterwards.
 func TestExecPanicSite(t *testing.T) {
-	s := mustOpen(t, Config{MaxBytes: 1 << 20, RowBlock: 64})
+	s := mustOpen(t, Config{MaxBytes: 1 << 20})
 	e, _, err := s.GetOrCreate(context.Background(), "fp", buildOf(testPrepared(48, 1), nil))
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +607,7 @@ func TestExecPanicSite(t *testing.T) {
 }
 
 func TestExecIterations(t *testing.T) {
-	s := mustOpen(t, Config{MaxBytes: 1 << 20, RowBlock: 64})
+	s := mustOpen(t, Config{MaxBytes: 1 << 20})
 	e, _, err := s.GetOrCreate(context.Background(), "fp", buildOf(testPrepared(32, 1), nil))
 	if err != nil {
 		t.Fatal(err)
@@ -638,7 +638,7 @@ func TestExecIterations(t *testing.T) {
 func TestStoreTortureConcurrent(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	one := preparedCost(testPrepared(32, 1).M)
-	s := mustOpen(t, Config{MaxBytes: 3 * one, RowBlock: 64})
+	s := mustOpen(t, Config{MaxBytes: 3 * one})
 
 	const (
 		workers = 64
@@ -722,7 +722,7 @@ func TestChaosSessionFromEnv(t *testing.T) {
 
 	dir := t.TempDir()
 	one := preparedCost(testPrepared(32, 1).M)
-	cfg := Config{MaxBytes: 4 * one, SpillDir: dir, RowBlock: 64}
+	cfg := Config{MaxBytes: 4 * one, SpillDir: dir}
 	s := mustOpen(t, cfg)
 
 	var wg sync.WaitGroup

@@ -21,10 +21,6 @@ mkdir -p results
 # packages whose import cone changed since the last run are re-analyzed.
 go run ./cmd/wise-lint -budget 120s -cache .lintcache -jobs "$(nproc 2>/dev/null || echo 4)" -sarif results/lint.sarif ./...
 go build ./...
-# Focused race gate over the concurrency-heavy packages (worker pools,
-# checkpoint collector, fault injection, model registry, session store)
-# before the full module run.
-go test -race ./internal/perf ./internal/ml ./internal/resilience/... ./internal/serve ./internal/registry ./internal/session
 go test -race ./...
 
 # Benchmark smoke: the S preset must run to completion and produce a valid

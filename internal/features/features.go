@@ -8,8 +8,12 @@ package features
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"wise/internal/matrix"
 	"wise/internal/stats"
@@ -137,11 +141,7 @@ func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error
 		return Features{}, fmt.Errorf("features: extract: %w", err)
 	}
 	t := newTiling(m.Rows, m.Cols, cfg.K)
-	w, err := walkRows(ctx, m, t)
-	if err != nil {
-		return Features{}, err
-	}
-	colSide, err := colSideCounts(ctx, m, t)
+	w, colSide, err := walk(ctx, m, t)
 	if err != nil {
 		return Features{}, err
 	}
@@ -172,6 +172,64 @@ func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error
 		v = append(v, float64(w.rowSide[g])/float64(max(nGroupsR, 1)), float64(colSide[g])/float64(max(nGroupsC, 1)))
 	}
 	return Features{Names: slices.Clone(featureNames), Values: v}, nil
+}
+
+// colChunksPerWorker is how many tile-row chunks the column pass is cut
+// into per walking goroutine: enough that the goroutine that also makes
+// the row pass, about half the column pass's work, finds chunks left to
+// share when it is done.
+const colChunksPerWorker = 4
+
+// walk makes the passes over m behind the features: walkRows, and
+// colSideCounts over chunks of tile rows. They read m independently and
+// count only integers, so they run on up to GOMAXPROCS goroutines: the
+// caller makes the row pass, then claims column chunks beside the helpers.
+// Chunk counts are summed, in any order, to the same totals. walk returns
+// once every pass has stopped, also when ctx ends them early, and only
+// then hands the pooled scratch back.
+func walk(ctx context.Context, m *matrix.CSR, t tiling) (rowWalk, [groupSlots]int64, error) {
+	workers := runtime.GOMAXPROCS(0)
+	chunks := min(t.kr, colChunksPerWorker*workers)
+	workers = min(workers, chunks)
+	partial := make([][groupSlots]int64, chunks)
+	errs := make([]error, chunks)
+	var next atomic.Int64
+	claim := func(sc *colScratch) {
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= chunks {
+				return
+			}
+			partial[c], errs[c] = colSideCounts(ctx, m, t, c*t.kr/chunks, (c+1)*t.kr/chunks, sc)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			sc := colScratchPool.Get().(*colScratch)
+			defer colScratchPool.Put(sc)
+			claim(sc)
+		}()
+	}
+	w, err := walkRows(ctx, m, t)
+	if err == nil {
+		sc := colScratchPool.Get().(*colScratch)
+		claim(sc)
+		colScratchPool.Put(sc)
+	}
+	wg.Wait()
+	var colSide [groupSlots]int64
+	for c := range partial {
+		if err == nil {
+			err = errs[c]
+		}
+		for g := range colSide {
+			colSide[g] += partial[c][g]
+		}
+	}
+	return w, colSide, err
 }
 
 // tiling describes the logical K x K grid over a matrix.
@@ -272,34 +330,68 @@ func walkRows(ctx context.Context, m *matrix.CSR, t tiling) (rowWalk, error) {
 	return w, nil
 }
 
-// colSideCounts mirrors the row-side counts for columns: distinct (tile,
-// col-group) pairs per group slot. Columns are not globally sorted, so it
-// processes one tile row at a time with epoch-stamped dedupe. For X = 1 the
-// tile column is a function of the column, so a per-column epoch suffices;
-// for larger X a group can straddle tile-column boundaries, so the epoch
-// array is keyed by the exact (group, tileCol) pair. Every visited column
-// stamps its pair at every width, so a pair already stamped at one width
-// is stamped at all wider ones and the scan stops there.
-func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling) ([groupSlots]int64, error) {
+// colScratch is colSideCounts' dedupe state, pooled across extractions.
+// Its epoch only grows, so every stamp an earlier extraction left behind is
+// below the current one and the arrays are reused without clearing.
+type colScratch struct {
+	colEpoch []int32 // per column
+	pairs    []int32 // the (group, tileCol) epoch arrays of slots 1.., back to back
+	epoch    int32
+}
+
+var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
+
+// colSideCounts mirrors the row-side counts for columns, over the tile rows
+// [trFrom, trTo): distinct (tile, col-group) pairs per group slot. Columns
+// are not globally sorted, so it processes one tile row at a time with
+// epoch-stamped dedupe. For X = 1 the tile column is a function of the
+// column, so a per-column epoch suffices; for larger X a group can straddle
+// tile-column boundaries, so the epoch array is keyed by the exact (group,
+// tileCol) pair. Every visited column stamps its pair at every width, so a
+// pair already stamped at one width is stamped at all wider ones and the
+// scan stops there.
+//
+// The tile columns a group of X columns touches are consecutive, at most
+// (X-1)/tileCols + 2 of them, so a group needs only that many epoch slots,
+// rounded up to a power of two: tileCol modulo that number tells them
+// apart.
+func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling, trFrom, trTo int, sc *colScratch) ([groupSlots]int64, error) {
 	var counts [groupSlots]int64
-	colEpoch := make([]int32, m.Cols)
 	var pairEpochs [groupSlots][]int32 // slot 0 unused
+	var spanShifts [groupSlots]uint
 	var sizes [groupSlots]int
 	total := 0
 	for g := 1; g < groupSlots; g++ {
-		sizes[g] = ((m.Cols >> groupShifts[g]) + 1) * t.kc
+		span := ((1<<groupShifts[g])-1)/t.tileCols + 2
+		spanShifts[g] = uint(bits.Len(uint(span - 1)))
+		sizes[g] = ((m.Cols >> groupShifts[g]) + 1) << spanShifts[g]
 		total += sizes[g]
 	}
-	pool := make([]int32, total)
+	if len(sc.colEpoch) < m.Cols {
+		sc.colEpoch = make([]int32, m.Cols)
+	}
+	if len(sc.pairs) < total {
+		sc.pairs = make([]int32, total)
+	}
+	// One epoch per tile row; start over from zeroed arrays before the
+	// counter could wrap.
+	if int(sc.epoch) > math.MaxInt32-(trTo-trFrom) {
+		clear(sc.colEpoch)
+		clear(sc.pairs)
+		sc.epoch = 0
+	}
+	colEpoch, pool := sc.colEpoch, sc.pairs
 	for g := 1; g < groupSlots; g++ {
 		pairEpochs[g], pool = pool[:sizes[g]:sizes[g]], pool[sizes[g]:]
 	}
-	epoch := int32(0)
-	for trLo := 0; trLo < m.Rows; trLo += t.tileRows {
+	epoch := sc.epoch
+	defer func() { sc.epoch = epoch }()
+	for tr := trFrom; tr < trTo; tr++ {
 		if ctx.Err() != nil {
 			return counts, fmt.Errorf("features: extract: %w", ctx.Err())
 		}
 		epoch++
+		trLo := tr * t.tileRows
 		trHi := min(trLo+t.tileRows, m.Rows)
 		for _, c := range m.ColIdx[m.RowPtr[trLo]:m.RowPtr[trHi]] {
 			if colEpoch[c] == epoch {
@@ -309,7 +401,7 @@ func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling) ([groupSlots]in
 			counts[0]++
 			tc := int(c) / t.tileCols
 			for g := 1; g < groupSlots; g++ {
-				pair := (int(c)>>groupShifts[g])*t.kc + tc
+				pair := (int(c)>>groupShifts[g])<<spanShifts[g] | tc&(1<<spanShifts[g]-1)
 				if pairEpochs[g][pair] == epoch {
 					break
 				}

@@ -148,11 +148,9 @@ func TestUniqCountsMatchBruteForce(t *testing.T) {
 	for mi, m := range mats {
 		for _, k := range []int{4, 16, 64} {
 			tl := newTiling(m.Rows, m.Cols, k)
-			w, err := walkRows(context.Background(), m, tl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			colSide, err := colSideCounts(context.Background(), m, tl)
+			// walk reuses one pooled column scratch across these matrices
+			// of different widths, so stale epochs are exercised too.
+			w, colSide, err := walk(context.Background(), m, tl)
 			if err != nil {
 				t.Fatal(err)
 			}

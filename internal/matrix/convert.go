@@ -44,17 +44,19 @@ func newTriplets(capacity, limit int) *triplets {
 	}
 }
 
-func (t *triplets) add(i, j int32, v float64) {
-	if len(t.row) == cap(t.row) {
-		n := max(2*cap(t.row), 16)
+// addAll appends the triplets (ri[k], ci[k], v[k]) in order.
+func (t *triplets) addAll(ri, ci []int32, v []float64) {
+	if n := len(t.row) + len(ri); n > cap(t.row) {
+		c := max(2*cap(t.row), 16)
 		if len(t.row) < t.limit {
-			n = min(n, t.limit)
+			c = min(c, t.limit)
 		}
-		t.row, t.col, t.val = regrow(t.row, n), regrow(t.col, n), regrow(t.val, n)
+		c = max(c, n)
+		t.row, t.col, t.val = regrow(t.row, c), regrow(t.col, c), regrow(t.val, c)
 	}
-	t.row = append(t.row, i)
-	t.col = append(t.col, j)
-	t.val = append(t.val, v)
+	t.row = append(t.row, ri...)
+	t.col = append(t.col, ci...)
+	t.val = append(t.val, v...)
 }
 
 // regrow returns a copy of s with capacity exactly n.

@@ -2,13 +2,17 @@ package matrix
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"wise/internal/resilience"
 )
@@ -60,9 +64,10 @@ const maxEntryPrealloc = 1 << 16
 // a line of this many bytes or more is rejected instead of buffered.
 const maxLineBytes = 1 << 20
 
-// readBufferBytes is the reader's buffer. A longer line is gathered into a
-// separate slice, up to maxLineBytes.
-const readBufferBytes = 64 << 10
+// blockBytes is the size a block of the stream is filled to before it is
+// cut after its last newline. A line longer than that grows its block, up
+// to maxLineBytes.
+const blockBytes = 64 << 10
 
 // maxFastIndexBytes is the longest index token the fast entry parser
 // converts itself; every such token fits an int64. Longer ones (leading
@@ -75,8 +80,14 @@ var errLineTooLong = errors.New("matrix: MatrixMarket line exceeds 1 MiB")
 // Symmetric and skew-symmetric matrices are expanded; pattern matrices get
 // value 1 for every entry. Entries whose coordinates repeat are summed in
 // file order, a mirrored entry taking the place of the line it came from;
-// sums that come to zero stay stored. Lines of 1 MiB or more are rejected,
-// and nothing after the declared number of entries is read.
+// sums that come to zero stay stored. Lines of 1 MiB or more are rejected.
+//
+// The entry lines are read in blocks of about 64 KiB and parsed by up to
+// GOMAXPROCS goroutines at once. Whatever follows the declared number of
+// entries is ignored, bad lines and read errors included. The reader reads
+// past the last declared entry by at most the GOMAXPROCS blocks it keeps in
+// flight, each about 64 KiB unless one longer line, of under 1 MiB, fills
+// it.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimited(r, DefaultReadLimits())
 }
@@ -84,21 +95,50 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 // ReadMatrixMarketLimited is ReadMatrixMarket with explicit header limits,
 // for parsing untrusted input with bounded memory.
 func ReadMatrixMarketLimited(r io.Reader, lim ReadLimits) (*CSR, error) {
-	lr := lineReader{br: bufio.NewReaderSize(r, readBufferBytes)}
-	first, err := lr.next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("matrix: empty MatrixMarket stream")
-	}
+	return readMatrixMarket(r, lim, blockBytes, runtime.GOMAXPROCS(0))
+}
+
+// readMatrixMarket is ReadMatrixMarketLimited with the block size, at most
+// maxLineBytes, and the number of parsing goroutines as parameters.
+func readMatrixMarket(r io.Reader, lim ReadLimits, size, workers int) (*CSR, error) {
+	src := &blockSource{r: r, size: size}
+	defer src.close()
+	f, nnz, err := readHeader(src, lim)
 	if err != nil {
 		return nil, err
+	}
+	t, err := readEntries(src, f, nnz, workers)
+	if err != nil {
+		return nil, err
+	}
+	return buildCSR(f.rows, f.cols, t.row, t.col, t.val), nil
+}
+
+// entryFormat is what the header says about the entry lines.
+type entryFormat struct {
+	rows, cols int
+	pattern    bool // no value field; every entry is 1
+	mirror     bool // store (j,i) beside every off-diagonal (i,j)
+	skew       bool // the mirrored entry is negated
+}
+
+// readHeader reads the banner, the comments and the size line, one line at
+// a time, and checks the declared sizes against lim.
+func readHeader(src *blockSource, lim ReadLimits) (*entryFormat, int, error) {
+	first, err := src.line()
+	if err == io.EOF {
+		return nil, 0, fmt.Errorf("matrix: empty MatrixMarket stream")
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	text := string(first)
 	header := strings.Fields(strings.ToLower(text))
 	if len(header) < 4 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
-		return nil, fmt.Errorf("matrix: bad MatrixMarket header %q", text)
+		return nil, 0, fmt.Errorf("matrix: bad MatrixMarket header %q", text)
 	}
 	if header[2] != "coordinate" {
-		return nil, fmt.Errorf("matrix: only coordinate format supported, got %q", header[2])
+		return nil, 0, fmt.Errorf("matrix: only coordinate format supported, got %q", header[2])
 	}
 	valueType := header[3]
 	symmetry := "general"
@@ -108,141 +148,405 @@ func ReadMatrixMarketLimited(r io.Reader, lim ReadLimits) (*CSR, error) {
 	switch valueType {
 	case "real", "integer", "pattern":
 	default:
-		return nil, fmt.Errorf("matrix: unsupported value type %q", valueType)
+		return nil, 0, fmt.Errorf("matrix: unsupported value type %q", valueType)
 	}
-	mirror := symmetry != "general" // store (j,i) beside every off-diagonal (i,j)
 	switch symmetry {
 	case "general", "symmetric", "skew-symmetric":
 	default:
-		return nil, fmt.Errorf("matrix: unsupported symmetry %q", symmetry)
+		return nil, 0, fmt.Errorf("matrix: unsupported symmetry %q", symmetry)
+	}
+	f := &entryFormat{
+		pattern: valueType == "pattern",
+		mirror:  symmetry != "general",
+		skew:    symmetry == "skew-symmetric",
 	}
 
 	// Skip comments, read the size line.
-	var rows, cols, nnz int
+	var nnz int
 	for {
-		b, err := lr.next()
+		b, err := src.line()
 		if err == io.EOF {
-			return nil, fmt.Errorf("matrix: missing size line")
+			return nil, 0, fmt.Errorf("matrix: missing size line")
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		line := strings.TrimSpace(string(b))
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("matrix: bad size line %q: %w", line, err)
+		if _, err := fmt.Sscan(line, &f.rows, &f.cols, &nnz); err != nil {
+			return nil, 0, fmt.Errorf("matrix: bad size line %q: %w", line, err)
 		}
 		break
 	}
+	rows, cols := f.rows, f.cols
 	if rows < 0 || cols < 0 || nnz < 0 {
-		return nil, ErrDimension
+		return nil, 0, ErrDimension
 	}
 	if rows > lim.MaxRows || cols > lim.MaxCols || nnz > lim.MaxNNZ {
-		return nil, fmt.Errorf("%w: %dx%d with %d entries exceeds read limits %dx%d/%d",
+		return nil, 0, fmt.Errorf("%w: %dx%d with %d entries exceeds read limits %dx%d/%d",
 			ErrDimension, rows, cols, nnz, lim.MaxRows, lim.MaxCols, lim.MaxNNZ)
 	}
 	// Entry coordinates are stored as int32 (COO entries, CSR ColIdx), so a
 	// caller-supplied limit above the int32 index space must not let the
-	// int32 conversions below truncate silently on a huge-but-admitted file.
+	// int32 conversions of entry coordinates truncate silently on a
+	// huge-but-admitted file.
 	if rows > math.MaxInt32 || cols > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %dx%d exceeds the int32 index space", ErrDimension, rows, cols)
+		return nil, 0, fmt.Errorf("%w: %dx%d exceeds the int32 index space", ErrDimension, rows, cols)
 	}
 	// The MatrixMarket spec defines symmetry only for square matrices; the
 	// mirrored entry of a rectangular "symmetric" file could land outside
 	// the matrix.
-	if mirror && rows != cols {
-		return nil, fmt.Errorf("%w: %s matrix must be square, got %dx%d",
+	if f.mirror && rows != cols {
+		return nil, 0, fmt.Errorf("%w: %s matrix must be square, got %dx%d",
 			ErrDimension, symmetry, rows, cols)
 	}
+	return f, nnz, nil
+}
 
+// readEntries reads the first nnz entries into triplets, in file order. It
+// keeps up to workers blocks in flight: each is parsed whole into its own
+// triplets by one of workers goroutines, and the blocks are merged in file
+// order, so the first error in the file wins and nothing past the last
+// declared entry counts. With one worker, or a stream that ends within its
+// first block, every block is parsed inline.
+func readEntries(src *blockSource, f *entryFormat, nnz, workers int) (*triplets, error) {
 	// The declared count bounds how far the triplet arrays grow: a general
 	// file fills them exactly, a symmetric one at most twice over.
 	limit := nnz
-	if mirror {
+	if f.mirror {
 		limit = nnz * 2
 		if nnz > math.MaxInt/2 {
 			limit = math.MaxInt
 		}
 	}
 	t := newTriplets(min(nnz, maxEntryPrealloc), limit)
-	pattern := valueType == "pattern"
+	if nnz == 0 {
+		return t, nil
+	}
+	// The ring's slots keep their buffers for the whole read, so blocks
+	// reuse them without a pool round trip each.
+	depth := max(workers, 1)
+	ring := make([]entryBlock, depth)
+	head, queued := 0, 0
+	var jobs chan *entryBlock
+	var wg sync.WaitGroup
+	defer func() {
+		for ; queued > 0; queued-- {
+			ring[head].wait()
+			head = (head + 1) % depth
+		}
+		if jobs != nil {
+			close(jobs)
+			wg.Wait()
+		}
+		for k := range ring {
+			ring[k].release()
+		}
+	}()
 	read := 0
-	for read < nnz {
-		b, err := lr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		i, j, val, st := parseEntryFast(b, pattern)
-		if st == entrySlow {
-			if i, j, val, st, err = parseEntrySlow(string(b), pattern); err != nil {
-				return nil, err
+	for {
+		for queued < depth {
+			b := &ring[(head+queued)%depth]
+			if !src.fill(b) {
+				break
+			}
+			queued++
+			if jobs == nil && workers > 1 && src.err == nil {
+				// Sized to the blocks in flight, so a send never blocks.
+				jobs = make(chan *entryBlock, depth)
+				for k := range ring {
+					ring[k].done = make(chan struct{}, 1)
+				}
+				wg.Add(workers)
+				for range workers {
+					go func() {
+						defer wg.Done()
+						for b := range jobs {
+							b.parse(f)
+							b.done <- struct{}{}
+						}
+					}()
+				}
+			}
+			if jobs == nil {
+				b.parse(f)
+			} else {
+				b.pending = true
+				jobs <- b
 			}
 		}
+		if queued == 0 {
+			break
+		}
+		b := &ring[head]
+		head, queued = (head+1)%depth, queued-1
+		b.wait()
+		need := nnz - read
+		bt := b.t
+		if b.entries >= need {
+			k := need
+			if f.mirror {
+				k = bt.tripletsOf(need)
+			}
+			t.addAll(bt.row[:k], bt.col[:k], bt.val[:k])
+			return t, nil
+		}
+		t.addAll(bt.row, bt.col, bt.val)
+		read += b.entries
+		if b.err != nil {
+			return nil, b.err
+		}
+	}
+	if src.err != io.EOF {
+		return nil, src.err
+	}
+	return nil, fmt.Errorf("matrix: expected %d entries, got %d", nnz, read)
+}
+
+// entryBlock is one slot of the entry reader's ring: a block of entry
+// lines and what parsing it found.
+type entryBlock struct {
+	buf  *[]byte // pooled; the block's lines are (*buf)[from:]
+	from int
+	t    *blockTriplets // pooled; the block's entries, mirrors included
+	// entries counts the entry lines before err, the block's first bad
+	// line, if it has one; parsing stops there.
+	entries int
+	err     error
+	done    chan struct{} // a worker's signal that it parsed the block
+	pending bool          // the block went to a worker and done is unread
+}
+
+// blockTriplets is a block's share of the triplets, pooled across reads.
+type blockTriplets struct {
+	row, col []int32
+	val      []float64
+}
+
+var (
+	blockPool   = sync.Pool{New: func() any { b := make([]byte, 0, blockBytes); return &b }}
+	tripletPool = sync.Pool{New: func() any { return new(blockTriplets) }}
+)
+
+// wait returns once a worker has parsed b, if one was given it.
+func (b *entryBlock) wait() {
+	if b.pending {
+		<-b.done
+		b.pending = false
+	}
+}
+
+// release returns b's buffer and triplets to their pools. Scratch grown
+// past what a 64 KiB block of 10-byte lines needs is left to the garbage
+// collector.
+func (b *entryBlock) release() {
+	if b.buf != nil {
+		releaseBlock(b.buf)
+	}
+	if b.t != nil && cap(b.t.row) <= 2*(blockBytes/10+1) {
+		tripletPool.Put(b.t)
+	}
+	b.buf, b.t = nil, nil
+}
+
+// parse reads the entry lines of b into its triplets, stopping at the first
+// bad line or out-of-range index. The triplets are sized for entry lines of
+// 10 bytes or more, like "1000 1000 1\n"; denser blocks grow them.
+func (b *entryBlock) parse(f *entryFormat) {
+	data := (*b.buf)[b.from:]
+	if b.t == nil {
+		b.t = tripletPool.Get().(*blockTriplets)
+	}
+	n := len(data)/10 + 1
+	if f.mirror {
+		n *= 2
+	}
+	if cap(b.t.row) < n {
+		b.t.row, b.t.col, b.t.val = make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)
+	}
+	row, col, val := b.t.row[:0], b.t.col[:0], b.t.val[:0]
+	entries := 0
+	var err error
+	for p := 0; p < len(data); {
+		i, j, v, next, st := parseEntryFast(data, p, f.pattern)
+		if st == entrySlow {
+			line := data[p:lineEnd(data, p)]
+			next = p + len(line) + 1
+			if i, j, v, st, err = parseEntrySlow(string(line), f.pattern); err != nil {
+				break
+			}
+		}
+		p = next
 		if st == entrySkip {
 			continue
 		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrIndexRange, i, j, rows, cols)
+		if !f.inBounds(i, j) {
+			err = fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrIndexRange, i, j, f.rows, f.cols)
+			break
 		}
-		t.add(int32(i-1), int32(j-1), val)
-		if mirror && i != j {
-			if symmetry == "skew-symmetric" {
-				val = -val
+		row, col, val = append(row, int32(i-1)), append(col, int32(j-1)), append(val, v)
+		if f.mirror && i != j {
+			if f.skew {
+				v = -v
 			}
-			t.add(int32(j-1), int32(i-1), val)
+			row, col, val = append(row, int32(j-1)), append(col, int32(i-1)), append(val, v)
 		}
-		read++
+		entries++
 	}
-	if read != nnz {
-		return nil, fmt.Errorf("matrix: expected %d entries, got %d", nnz, read)
-	}
-	return buildCSR(rows, cols, t.row, t.col, t.val), nil
+	b.t.row, b.t.col, b.t.val = row, col, val
+	b.entries, b.err = entries, err
 }
 
-// lineReader splits a stream into lines with bufio.Reader.ReadSlice,
-// gathering a line longer than the buffer into long.
-type lineReader struct {
-	br   *bufio.Reader
-	long []byte
+// inBounds reports whether the 1-based (i, j) lies inside the matrix. The
+// header caps rows and cols at math.MaxInt32, so the 0-based coordinates of
+// such a position fit an int32.
+func (f *entryFormat) inBounds(i, j int) bool {
+	return i >= 1 && i <= f.rows && j >= 1 && j <= f.cols
 }
 
-// next returns the next line without its "\n" terminator or a "\r" before
-// it, io.EOF at the end of the stream, or errLineTooLong for a line of
-// maxLineBytes bytes or more. The line aliases the reader's buffers until
-// the next call.
-func (lr *lineReader) next() ([]byte, error) {
-	line, err := lr.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		lr.long = append(lr.long[:0], line...)
-		for err == bufio.ErrBufferFull && len(lr.long) < maxLineBytes {
-			line, err = lr.br.ReadSlice('\n')
-			lr.long = append(lr.long, line...)
+// tripletsOf returns how many of t's triplets its first n entries made, in
+// a mirrored file: two for an off-diagonal entry, one for a diagonal one.
+func (t *blockTriplets) tripletsOf(n int) int {
+	k := 0
+	for ; n > 0; n-- {
+		if t.row[k] != t.col[k] {
+			k++
 		}
-		if err == bufio.ErrBufferFull {
-			return nil, errLineTooLong
+		k++
+	}
+	return k
+}
+
+// releaseBlock returns a block buffer to its pool, unless a long line grew
+// it past blockBytes.
+func releaseBlock(buf *[]byte) {
+	if cap(*buf) <= blockBytes {
+		blockPool.Put(buf)
+	}
+}
+
+// blockSource cuts a stream into blocks of whole lines. The header is read
+// from it a line at a time; the entry section a block at a time.
+type blockSource struct {
+	r    io.Reader
+	size int    // bytes a block is filled to before it is cut
+	tail []byte // the unfinished line the next block starts with
+	// err is why the stream ended: io.EOF, a read error, or
+	// errLineTooLong. Every byte before it is in a block already handed
+	// out, except the unfinished last line before a read error, which is
+	// dropped.
+	err error
+	// cur is the block line reads come from, pos the start of its first
+	// unread line.
+	cur *[]byte
+	pos int
+}
+
+// maxEmptyReads is how many successive empty reads a stream may return
+// before it is abandoned with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
+
+// next refills *bp with the next block: whole lines, each ended by "\n"
+// except the last line of the stream. It reports false, leaving *bp empty,
+// once the stream has ended, with s.err saying why. No line of a block is
+// maxLineBytes long or longer: such a line ends the stream with
+// errLineTooLong instead.
+func (s *blockSource) next(bp *[]byte) bool {
+	if s.err != nil {
+		*bp = (*bp)[:0]
+		return false
+	}
+	buf := append((*bp)[:0], s.tail...)
+	s.tail = s.tail[:0]
+	limit := max(s.size, len(buf))
+	for {
+		for empty := 0; len(buf) < limit && s.err == nil; {
+			if cap(buf) < limit {
+				buf = slices.Grow(buf, limit-len(buf))
+			}
+			n, err := s.r.Read(buf[len(buf):limit])
+			buf, s.err = buf[:len(buf)+n], err
+			if n > 0 {
+				empty = 0
+			} else if empty++; empty == maxEmptyReads && err == nil {
+				s.err = io.ErrNoProgress
+			}
 		}
-		line = lr.long
+		nl := bytes.LastIndexByte(buf, '\n')
+		switch {
+		case s.err == io.EOF && (nl >= 0 || len(buf) < maxLineBytes):
+			// The whole rest of the stream; its last line needs no "\n".
+		case s.err != nil:
+			// A read error drops the unfinished line before it.
+			if s.err == io.EOF {
+				s.err = errLineTooLong
+			}
+			buf = buf[:nl+1]
+		case nl >= 0:
+			s.tail = append(s.tail, buf[nl+1:]...)
+			buf = buf[:nl+1]
+		case len(buf) >= maxLineBytes:
+			s.err = errLineTooLong
+			buf = buf[:0]
+		default:
+			// One line fills the block: read on until it ends.
+			limit = min(2*limit, maxLineBytes)
+			continue
+		}
+		*bp = buf
+		return len(buf) > 0
 	}
-	switch {
-	case err == nil:
-		line = line[:len(line)-1]
-	case err != io.EOF:
-		return nil, err
-	case len(line) == 0:
-		return nil, io.EOF
+}
+
+// line returns the next line without its "\n" terminator or a "\r" before
+// it, or the reason the stream ended (io.EOF at its end). The line aliases
+// the current block until the next call.
+func (s *blockSource) line() ([]byte, error) {
+	if s.cur == nil {
+		s.cur = blockPool.Get().(*[]byte)
+		*s.cur = (*s.cur)[:0]
 	}
-	if len(line) >= maxLineBytes {
-		return nil, errLineTooLong
+	for s.pos == len(*s.cur) {
+		if s.pos = 0; !s.next(s.cur) {
+			return nil, s.err
+		}
 	}
+	b := (*s.cur)[s.pos:]
+	line := b[:lineEnd(b, 0)]
+	s.pos += min(len(line)+1, len(b))
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
 	}
 	return line, nil
+}
+
+// fill loads the next block of unread lines into the ring slot b: first
+// the rest of the block the header was read from, whose buffer the first
+// slot filled takes over, then blocks read into b's own buffer. It reports
+// false once the stream has ended.
+func (s *blockSource) fill(b *entryBlock) bool {
+	b.from = 0
+	if s.cur != nil {
+		b.buf, b.from, s.cur = s.cur, s.pos, nil
+		if b.from < len(*b.buf) {
+			return true
+		}
+		b.from = 0
+	}
+	if b.buf == nil {
+		b.buf = blockPool.Get().(*[]byte)
+	}
+	return s.next(b.buf)
+}
+
+// close returns the header's block to its pool if no ring slot took it.
+func (s *blockSource) close() {
+	if s.cur != nil {
+		releaseBlock(s.cur)
+		s.cur = nil
+	}
 }
 
 // entryStatus is what parsing one entry line found.
@@ -254,40 +558,115 @@ const (
 	entrySlow                    // beyond the fast parser; reparse with parseEntrySlow
 )
 
-// parseEntryFast parses one entry line without allocating. It answers
+// parseEntryFast parses the entry line starting at b[p] in place, without
+// allocating, and returns the index just past the line's "\n". It answers
 // entryOK or entrySkip only where parseEntrySlow would read the line the
 // same way: ASCII-whitespace-separated fields, index tokens of at most
 // maxFastIndexBytes sign and digit bytes, and a value token that
-// strconv.ParseFloat accepts. A byte >= 0x80 inside a field fails the
-// index or value parse, so every such line, like every malformed one, is
-// answered entrySlow.
-func parseEntryFast(line []byte, pattern bool) (i, j int, val float64, st entryStatus) {
-	p := skipBlank(line, 0)
-	if p == len(line) || line[p] == '%' {
-		return 0, 0, 0, entrySkip
+// exactDecimal or strconv.ParseFloat accepts. A byte >= 0x80 inside a field
+// fails the index or value parse, so every such line, like every malformed
+// one, is answered entrySlow.
+func parseEntryFast(b []byte, p int, pattern bool) (i, j int, val float64, next int, st entryStatus) {
+	p = skipBlank(b, p)
+	if p == len(b) || b[p] == '\n' {
+		return 0, 0, 0, p + 1, entrySkip
+	}
+	if b[p] == '%' {
+		return 0, 0, 0, lineEnd(b, p) + 1, entrySkip
 	}
 	var ok bool
-	if i, p, ok = parseIndex(line, p); !ok {
-		return 0, 0, 0, entrySlow
+	if i, p, ok = parseIndex(b, p); !ok {
+		return 0, 0, 0, 0, entrySlow
 	}
-	if j, p, ok = parseIndex(line, skipBlank(line, p)); !ok {
-		return 0, 0, 0, entrySlow
+	if j, p, ok = parseIndex(b, skipBlank(b, p)); !ok {
+		return 0, 0, 0, 0, entrySlow
 	}
-	if pattern {
-		return i, j, 1, entryOK
+	val = 1
+	if !pattern {
+		p = skipBlank(b, p)
+		end := p
+		for end < len(b) && !isSpace(b[end]) {
+			end++
+		}
+		if end == p {
+			return 0, 0, 0, 0, entrySlow
+		}
+		if val, ok = exactDecimal(b[p:end]); !ok {
+			// The conversion does not allocate: strconv copies the string
+			// only to report an error.
+			var err error
+			if val, err = strconv.ParseFloat(string(b[p:end]), 64); err != nil {
+				return 0, 0, 0, 0, entrySlow
+			}
+		}
+		p = end
 	}
-	p = skipBlank(line, p)
-	end := p
-	for end < len(line) && !isSpace(line[end]) {
-		end++
+	return i, j, val, lineEnd(b, p) + 1, entryOK
+}
+
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// exactDecimal converts a token of an optional sign, digits and an optional
+// "." — at least one digit, at most 15 of them from the first nonzero one
+// on, and at most 22 after the "." — the way strconv.ParseFloat does: the
+// digits as an integer, which is below 2^52 and so exact, divided by an
+// exact power of ten, one correctly rounded step. It reports false for any
+// other token.
+func exactDecimal(tok []byte) (float64, bool) {
+	p := 0
+	neg := false
+	if len(tok) > 0 && (tok[0] == '-' || tok[0] == '+') {
+		neg = tok[0] == '-'
+		p++
 	}
-	// The conversion does not allocate: strconv copies the string only to
-	// report an error.
-	val, err := strconv.ParseFloat(string(line[p:end]), 64)
-	if err != nil {
-		return 0, 0, 0, entrySlow
+	// Zeros before the first nonzero digit are not significant; past them,
+	// a token of 17 bytes or more has 16 significant digits or more.
+	q := p
+	for q < len(tok) && (tok[q] == '0' || tok[q] == '.') {
+		q++
 	}
-	return i, j, val, entryOK
+	if len(tok)-q > 16 {
+		return 0, false
+	}
+	var mant uint64
+	digits, sig, frac := 0, 0, 0
+	dot := false
+	for ; p < len(tok); p++ {
+		c := tok[p]
+		if c == '.' && !dot {
+			dot = true
+			continue
+		}
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		digits++
+		if dot {
+			frac++
+		}
+		if mant != 0 || d != 0 {
+			if sig++; sig > 15 {
+				return 0, false
+			}
+		}
+		mant = mant*10 + uint64(d)
+	}
+	if digits == 0 || frac >= len(float64pow10) {
+		return 0, false
+	}
+	f := float64(mant)
+	if neg {
+		f = -f
+	}
+	if frac == 0 {
+		return f, true
+	}
+	return f / float64pow10[frac], true
 }
 
 // parseEntrySlow parses an entry line with the unicode-aware strings and
@@ -323,32 +702,44 @@ func parseEntrySlow(raw string, pattern bool) (i, j int, val float64, st entrySt
 // '\t', '\n', '\v', '\f', '\r' or ' '.
 func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
 
-// skipBlank returns the index of the first byte of line at or after p that
-// is not whitespace.
-func skipBlank(line []byte, p int) int {
-	for p < len(line) && isSpace(line[p]) {
+// skipBlank returns the index of the first byte of b at or after p that is
+// not whitespace within a line: '\n' ends the skip.
+func skipBlank(b []byte, p int) int {
+	for p < len(b) && isSpace(b[p]) && b[p] != '\n' {
 		p++
 	}
 	return p
 }
 
-// parseIndex is strconv.Atoi for the token starting at line[p] when that
+// lineEnd returns the index of the first "\n" of b at or after p, or
+// len(b) when there is none.
+func lineEnd(b []byte, p int) int {
+	if p < len(b) && b[p] == '\n' {
+		return p
+	}
+	if k := bytes.IndexByte(b[p:], '\n'); k >= 0 {
+		return p + k
+	}
+	return len(b)
+}
+
+// parseIndex is strconv.Atoi for the token starting at b[p] when that
 // token is an optional sign and decimal digits, at most maxFastIndexBytes
-// bytes long, ended by whitespace or the end of the line. It returns the
-// value and the index just past the token.
-func parseIndex(line []byte, p int) (int, int, bool) {
+// bytes long, ended by whitespace or the end of b. It returns the value
+// and the index just past the token.
+func parseIndex(b []byte, p int) (int, int, bool) {
 	start := p
 	neg := false
-	if p < len(line) && (line[p] == '-' || line[p] == '+') {
-		neg = line[p] == '-'
+	if p < len(b) && (b[p] == '-' || b[p] == '+') {
+		neg = b[p] == '-'
 		p++
 	}
 	digits := p
 	n := 0
-	for ; p < len(line) && line[p]-'0' <= 9; p++ {
-		n = n*10 + int(line[p]-'0')
+	for ; p < len(b) && b[p]-'0' <= 9; p++ {
+		n = n*10 + int(b[p]-'0')
 	}
-	if p == digits || p-start > maxFastIndexBytes || p < len(line) && !isSpace(line[p]) {
+	if p == digits || p-start > maxFastIndexBytes || p < len(b) && !isSpace(b[p]) {
 		return 0, p, false
 	}
 	if neg {

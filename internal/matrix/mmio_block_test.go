@@ -1,0 +1,282 @@
+package matrix
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+	"testing/iotest"
+)
+
+// blockSizes are the tiny block sizes the differential tests cut streams
+// into, so that lines, CRLFs and headers straddle block boundaries and every
+// multi-block path of the entry reader runs on small inputs.
+var blockSizes = []int{1, 7, 64}
+
+// blockWorkers are the parsing goroutine counts tried at each block size:
+// inline, and more workers than a small host has cores.
+var blockWorkers = []int{1, 3}
+
+// checkBlocksAgainstOracle reads data at every tiny block size and worker
+// count with checkBlockRead.
+func checkBlocksAgainstOracle(t *testing.T, data []byte, lim ReadLimits) {
+	t.Helper()
+	for _, size := range blockSizes {
+		for _, workers := range blockWorkers {
+			checkBlockRead(t, data, lim, size, workers)
+		}
+	}
+}
+
+// checkBlockRead reads data in blocks of size bytes with the given number
+// of workers and holds the result to readOracle: the same accept/reject,
+// the same matrix on accept, and on reject the message of the reader at
+// its default block size and one worker, which is the oracle's own message
+// except for the line cap, where the oracle reports bufio.Scanner's error.
+func checkBlockRead(t *testing.T, data []byte, lim ReadLimits, size, workers int) {
+	t.Helper()
+	coo, oracleErr := readOracleCOO(bytes.NewReader(data), lim)
+	want, wantErr := readMatrixMarket(bytes.NewReader(data), lim, blockBytes, 1)
+	if (wantErr == nil) != (oracleErr == nil) {
+		t.Fatalf("reader err %v, oracle err %v", wantErr, oracleErr)
+	}
+	if wantErr != nil && !errors.Is(wantErr, errLineTooLong) && wantErr.Error() != oracleErr.Error() {
+		t.Fatalf("reader err %q, oracle err %q", wantErr, oracleErr)
+	}
+	if wantErr == nil {
+		sameParse(t, want, oracleToCSR(coo), hasDuplicates(coo))
+	}
+	got, err := readMatrixMarket(bytes.NewReader(data), lim, size, workers)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("block %d, %d workers: err %v, want %v", size, workers, err, wantErr)
+	}
+	if err == nil {
+		sameParse(t, got, want, false)
+	}
+}
+
+// entryBody writes m as a MatrixMarket body with the given header and a
+// line terminator of eol.
+func entryBody(t *testing.T, m *CSR, header, eol string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s%s%d %d %d%s", header, eol, m.Rows, m.Cols, m.NNZ(), eol)
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		for k := range cols {
+			fmt.Fprintf(&b, "%d %d %s%s", i+1, cols[k]+1, strconv.FormatFloat(vals[k], 'g', -1, 64), eol)
+		}
+	}
+	return b.Bytes()
+}
+
+// lowerTriangle is the lower triangle of m, diagonal included, as a
+// symmetric file stores it.
+func lowerTriangle(m *CSR) *CSR {
+	c := NewCOO(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			if int(j) <= i {
+				c.Add(int32(i), j, vals[k])
+			}
+		}
+	}
+	return c.ToCSR()
+}
+
+// replaceLastEntry swaps the last line of body (which ends in eol) for line.
+func replaceLastEntry(body []byte, line, eol string) []byte {
+	trimmed := bytes.TrimSuffix(body, []byte(eol))
+	cut := bytes.LastIndex(trimmed, []byte(eol)) + len(eol)
+	return append(append(append([]byte(nil), trimmed[:cut]...), line...), eol...)
+}
+
+// TestBlockReaderMatchesOracle drives the entry reader through multi-block
+// streams at tiny block sizes and several worker counts against readOracle.
+func TestBlockReaderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m := randomCSR(t, rng, 40, 40, 0.15)
+	const general = "%%MatrixMarket matrix coordinate real general"
+	lf := entryBody(t, m, general, "\n")
+	crlf := entryBody(t, m, general, "\r\n")
+	longLine := "%" + strings.Repeat("x", maxLineBytes)
+	sym := lowerTriangle(m)
+
+	cases := map[string][]byte{
+		"lf":                        lf,
+		"crlf":                      crlf,
+		"no final newline":          bytes.TrimSuffix(lf, []byte("\n")),
+		"bad value in last block":   replaceLastEntry(crlf, "40 40 zebra", "\r\n"),
+		"bad index in last block":   replaceLastEntry(lf, "4x 1 1", "\n"),
+		"out of range in last line": replaceLastEntry(lf, "41 1 1", "\n"),
+		"missing value last":        replaceLastEntry(lf, "3 3", "\n"),
+		"junk after entries":        append(append([]byte(nil), lf...), "junk\n1 1 zebra\n99 99 99\n"...),
+		"long line after entries":   append(append([]byte(nil), lf...), longLine+"\n1 1 1\n"...),
+		"long line before the last": replaceLastEntry(lf, longLine, "\n"),
+		"short entry list":          bytes.TrimSuffix(replaceLastEntry(lf, "", "\n"), []byte("\n")),
+		"long header comment": []byte(general + "\n%" + strings.Repeat("c", 300) + "\n\n% more\n2 2 3\n" +
+			"% between\n\n1 1 1.5\r\n \t2 2 -0.25\n1 1 2.5\n"),
+		"comments and blanks between entries": []byte(general + "\n3 3 3\n% a\n\n1 1 1\n%%\n   \n2 2 2\n\t\n3 3 3\n"),
+		"no entries, junk after":              []byte(general + "\n3 3 0\nnot an entry\n"),
+		"symmetric":                           entryBody(t, sym, "%%MatrixMarket matrix coordinate real symmetric", "\n"),
+		"skew-symmetric": entryBody(t, lowerTriangle(randomCSR(t, rng, 30, 30, 0.1)),
+			"%%MatrixMarket matrix coordinate real skew-symmetric", "\r\n"),
+		"pattern symmetric":             []byte("%%MatrixMarket matrix coordinate pattern symmetric\n5 5 6\n1 1\n2 1\n3 2\r\n4 3\n5 4\n5 5\njunk"),
+		"pattern general":               []byte("%%MatrixMarket matrix coordinate pattern general\n3 4 4\n1 4\n2 2\n3 1\n1 4\n"),
+		"duplicates across blocks":      []byte(general + "\n2 2 6\n1 1 1e16\n2 2 1\n1 1 1\n2 2 1e16\n1 1 -1e16\n2 2 -1e16\n"),
+		"symmetric truncated mid-count": []byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n2 1 1\n3 1 2\n3 3 3\n"),
+		"symmetric cut after count":     []byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1\n3 3 3\n3 2 zebra\n"),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkBlocksAgainstOracle(t, data, DefaultReadLimits())
+		})
+	}
+}
+
+// TestBlockReaderReadErrors pins the rule for a stream that fails: a read
+// error after the declared entries is ignored, one before them wins, and so
+// does a stream that stops making progress.
+func TestBlockReaderReadErrors(t *testing.T) {
+	errBroken := errors.New("broken stream")
+	body := "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1\n2 2 2\n3 3 3\n"
+	for _, size := range append([]int{blockBytes}, blockSizes...) {
+		for _, workers := range blockWorkers {
+			r := io.MultiReader(strings.NewReader(body), iotest.ErrReader(errBroken))
+			if m, err := readMatrixMarket(r, DefaultReadLimits(), size, workers); err != nil || m.NNZ() != 3 {
+				t.Errorf("block %d, %d workers: error after the entries: %v", size, workers, err)
+			}
+			// The unfinished line before the error does not count.
+			r = io.MultiReader(strings.NewReader(body[:len(body)-1]), iotest.ErrReader(errBroken))
+			if _, err := readMatrixMarket(r, DefaultReadLimits(), size, workers); !errors.Is(err, errBroken) {
+				t.Errorf("block %d, %d workers: error before the last newline: %v, want %v", size, workers, err, errBroken)
+			}
+			r = io.MultiReader(strings.NewReader(body[:60]), emptyReader{})
+			if _, err := readMatrixMarket(r, DefaultReadLimits(), size, workers); !errors.Is(err, io.ErrNoProgress) {
+				t.Errorf("block %d, %d workers: stalled stream: %v, want %v", size, workers, err, io.ErrNoProgress)
+			}
+		}
+	}
+}
+
+// emptyReader returns no bytes and no error, forever.
+type emptyReader struct{}
+
+func (emptyReader) Read([]byte) (int, error) { return 0, nil }
+
+// FuzzBlockReaderDifferential is FuzzReadMatrixMarketDifferential at a
+// fuzzed block size of 1 to 96 bytes and 1 to 4 workers: however the
+// stream is cut into blocks, the entry reader must agree with readOracle
+// and give the error message it gives at its default block size. The seed
+// corpora run at every tiny block size and worker count.
+func FuzzBlockReaderDifferential(f *testing.F) {
+	for _, s := range append(append([]string(nil), fuzzSeeds...), differentialSeeds...) {
+		for _, size := range blockSizes {
+			for _, workers := range blockWorkers {
+				f.Add([]byte(s), uint8(size-1), uint8(workers-1))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, size, workers uint8) {
+		if len(data) > 1<<16 {
+			t.Skip("oversized input")
+		}
+		checkBlockRead(t, data, fuzzLimits, 1+int(size%96), 1+int(workers%4))
+	})
+}
+
+// TestExactDecimalMatchesStrconv holds the exact value step to
+// strconv.ParseFloat bit for bit on the tokens it accepts, and checks that
+// it accepts exactly the tokens in its form: at most 15 significant digits,
+// at most 22 fraction digits, no exponent.
+func TestExactDecimalMatchesStrconv(t *testing.T) {
+	for _, tc := range []struct {
+		tok   string
+		exact bool
+	}{
+		{"0", true}, {"-0", true}, {"+0", true}, {"-0.0", true}, {"1", true}, {"-1", true}, {"4", true},
+		{"5.", true}, {".5", true}, {"-.5", true}, {"+5.", true}, {"007", true}, {"-000.000", true},
+		{"0.1", true}, {"0.3", true}, {"-2.675", true}, {"1.5e3", false}, {"1E3", false},
+		{"123456789012345", true}, {"1234567890123456", false},
+		{"999999999999999", true}, {"9999999999999999", false},
+		{"0.000123456789012345", true}, {"0.0001234567890123456", false},
+		{"12345678.9012345", true}, {"12345678.90123456", false},
+		{"0.0000000000000000000001", true}, {"0.00000000000000000000001", false},
+		{"0.0000000123456789012345", true}, {"0.00000000123456789012345", false},
+		{"1.0000000000000000000000", false}, {"100000000000000", true},
+		{"0000000000000000000000000000001", true},
+		{"", false}, {".", false}, {"-", false}, {"+", false}, {"-.", false}, {"1.2.3", false},
+		{"0x10", false}, {"1_0", false}, {"inf", false}, {"NaN", false}, {"--1", false}, {"1-", false},
+	} {
+		got, ok := exactDecimal([]byte(tc.tok))
+		if ok != tc.exact {
+			t.Errorf("exactDecimal(%q) ok = %v, want %v", tc.tok, ok, tc.exact)
+		}
+		if !ok {
+			continue
+		}
+		want, err := strconv.ParseFloat(tc.tok, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("exactDecimal(%q) = %v (%#x), strconv %v (%#x, %v)",
+				tc.tok, got, math.Float64bits(got), want, math.Float64bits(want), err)
+		}
+	}
+
+	// Random tokens around the limits: signs, leading zeros, 1-18 digits,
+	// the point anywhere or absent.
+	rng := rand.New(rand.NewSource(9))
+	accepted := 0
+	for n := 0; n < 200000; n++ {
+		var b []byte
+		switch rng.Intn(3) {
+		case 1:
+			b = append(b, '-')
+		case 2:
+			b = append(b, '+')
+		}
+		b = append(b, strings.Repeat("0", rng.Intn(4))...)
+		digits := 1 + rng.Intn(18)
+		dot := rng.Intn(digits + 2) // digits+1: no point
+		sig, frac := 0, 0
+		for d := 0; d < digits; d++ {
+			if d == dot {
+				b = append(b, '.')
+			}
+			c := byte('0' + rng.Intn(10))
+			if sig == 0 && rng.Intn(3) == 0 {
+				c = '0'
+			}
+			if c != '0' || sig > 0 {
+				sig++
+			}
+			if dot <= d {
+				frac++
+			}
+			b = append(b, c)
+		}
+		if dot == digits {
+			b = append(b, '.')
+		}
+		got, ok := exactDecimal(b)
+		if want := sig <= 15 && frac <= 22; ok != want {
+			t.Fatalf("exactDecimal(%q) ok = %v, want %v (%d significant, %d fraction digits)", b, ok, want, sig, frac)
+		}
+		if !ok {
+			continue
+		}
+		accepted++
+		want, err := strconv.ParseFloat(string(b), 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("exactDecimal(%q) = %#x, strconv %#x (%v)", b, math.Float64bits(got), math.Float64bits(want), err)
+		}
+	}
+	if accepted < 50000 {
+		t.Fatalf("only %d of the random tokens took the exact path", accepted)
+	}
+}

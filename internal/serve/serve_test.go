@@ -185,6 +185,50 @@ func TestPredictBodyCap(t *testing.T) {
 	}
 }
 
+// TestPredictIgnoresTailPastBodyCap pins the reader's rule that nothing
+// after the declared entries counts, read errors included: a body whose
+// entries are complete but whose trailing junk runs past MaxBodyBytes still
+// answers 200, however far the reader reads ahead.
+func TestPredictIgnoresTailPastBodyCap(t *testing.T) {
+	entries := mmBytes(t, testMatrix(t))
+	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = int64(len(entries)) + 16 })
+	body := append(append([]byte(nil), entries...), strings.Repeat("junk past the declared entries\n", 1<<13)...)
+	status, pr, _ := postPredict(t, ts.URL, body)
+	if status != http.StatusOK {
+		t.Fatalf("complete entries, junk past the cap: status = %d, want 200", status)
+	}
+	if m := testMatrix(t); pr.NNZ != m.NNZ() {
+		t.Errorf("nnz = %d, want %d", pr.NNZ, m.NNZ())
+	}
+}
+
+// TestPredictBadLineInFinalBlock sends a body of many read blocks whose
+// last entry line is bad: the answer is 400 with the message the original
+// line-by-line reader gave.
+func TestPredictBadLineInFinalBlock(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	m := gen.Uniform(rand.New(rand.NewSource(3)), 4000, 8)
+	body := mmBytes(t, m)
+	if len(body) < 4<<16 {
+		t.Fatalf("body of %d bytes spans too few 64 KiB blocks", len(body))
+	}
+	last := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+	body = append(body[:last], "4000 1 zebra\n"...)
+	resp, err := http.Post(ts.URL+"/predict", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /predict: %v", err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("decoding the error: %v", err)
+	}
+	const want = `matrix: bad value "zebra": strconv.ParseFloat: parsing "zebra": invalid syntax`
+	if resp.StatusCode != http.StatusBadRequest || er.Error != want {
+		t.Errorf("bad final line: %d %q, want 400 %q", resp.StatusCode, er.Error, want)
+	}
+}
+
 func TestPredictReadLimits(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	body := []byte("%%MatrixMarket matrix coordinate real general\n3000000000 4 1\n1 1 1.0\n")

@@ -22,6 +22,11 @@ mkdir -p results
 go run ./cmd/wise-lint -budget 120s -cache .lintcache -jobs "$(nproc 2>/dev/null || echo 4)" -sarif results/lint.sarif ./...
 go build ./...
 go test -race ./...
+# At GOMAXPROCS=1 the MatrixMarket reader parses its blocks and the feature
+# extractor runs its walks inline, the path 1-CPU hosts take and multi-core
+# runners otherwise never do. -count=1: the test cache does not key on
+# GOMAXPROCS.
+GOMAXPROCS=1 go test -count=1 ./internal/matrix ./internal/features ./internal/serve
 
 # Benchmark smoke: the S preset must run to completion and produce a valid
 # BENCH file. The result is discarded unless -bench-gate asked for the

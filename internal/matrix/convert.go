@@ -1,6 +1,9 @@
 package matrix
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Dedup sorts the COO entries by (row, col) and merges duplicates by summing
 // their values in insertion order. Entries that sum to exactly zero are kept
@@ -26,44 +29,179 @@ func (c *COO) ToCSR() *CSR {
 	return m
 }
 
-// triplets is a coordinate list in struct-of-arrays form, in input order.
-// Its arrays grow by doubling but never past limit, the most entries the
-// input declared, so a list that reaches its declared size holds no slack.
-type triplets struct {
+// blockTriplets is one block's share of a coordinate list in
+// struct-of-arrays form, in input order, with what merging it needs to
+// know: whether it is in strictly increasing (row, col) order and, if so,
+// how many triplets each of its rows holds.
+type blockTriplets struct {
 	row, col []int32
 	val      []float64
-	limit    int
+	ordered  bool
+	runs     []rowRun // per-row counts, in row order; set when ordered
 }
 
-func newTriplets(capacity, limit int) *triplets {
-	return &triplets{
-		row:   make([]int32, 0, capacity),
-		col:   make([]int32, 0, capacity),
-		val:   make([]float64, 0, capacity),
-		limit: limit,
+// rowRun counts the n consecutive triplets of one row.
+type rowRun struct{ row, n int32 }
+
+// reset gives t room for n triplets, keeping those it holds, and sets
+// the lengths of its arrays to their common capacity.
+func (t *blockTriplets) reset(n int) {
+	if c := min(cap(t.row), cap(t.col), cap(t.val)); c >= n {
+		t.row, t.col, t.val = t.row[:c], t.col[:c], t.val[:c]
+		return
 	}
+	row, col, val := make([]int32, n), make([]int32, n), make([]float64, n)
+	copy(row, t.row)
+	copy(col, t.col)
+	copy(val, t.val)
+	t.row, t.col, t.val = row, col, val
 }
 
-// addAll appends the triplets (ri[k], ci[k], v[k]) in order.
-func (t *triplets) addAll(ri, ci []int32, v []float64) {
-	if n := len(t.row) + len(ri); n > cap(t.row) {
-		c := max(2*cap(t.row), 16)
-		if len(t.row) < t.limit {
-			c = min(c, t.limit)
+// summarize sets t.ordered and, when it is true, t.runs.
+func (t *blockTriplets) summarize() {
+	// Room for rows of two triplets on average, so that a fresh t does not
+	// grow its runs a step at a time.
+	t.ordered, t.runs = true, slices.Grow(t.runs[:0], len(t.row)/2+1)
+	run := rowRun{row: -1}
+	for k, r := range t.row {
+		if r == run.row {
+			if t.col[k] <= t.col[k-1] {
+				t.ordered = false
+				return
+			}
+			run.n++
+			continue
 		}
-		c = max(c, n)
-		t.row, t.col, t.val = regrow(t.row, c), regrow(t.col, c), regrow(t.val, c)
+		if r < run.row {
+			t.ordered = false
+			return
+		}
+		if run.n > 0 {
+			t.runs = append(t.runs, run)
+		}
+		run = rowRun{row: r, n: 1}
 	}
-	t.row = append(t.row, ri...)
-	t.col = append(t.col, ci...)
-	t.val = append(t.val, v...)
+	if run.n > 0 {
+		t.runs = append(t.runs, run)
+	}
 }
 
-// regrow returns a copy of s with capacity exactly n.
-func regrow[E any](s []E, n int) []E {
-	out := make([]E, len(s), n)
-	copy(out, s)
-	return out
+// truncate keeps the first k triplets of t.
+func (t *blockTriplets) truncate(k int) {
+	t.row, t.col, t.val = t.row[:k], t.col[:k], t.val[:k]
+	t.summarize()
+}
+
+// entryList is a coordinate list built from blocks of triplets in input
+// order. While the list is in strictly increasing (row, col) order and
+// expects want triplets, each block's columns and values are copied once,
+// as the block arrives, into CSR arrays of want entries, and its row runs
+// are added to the list's. The arrays are reserved once want is at most
+// maxEntryPrealloc more than twice the triplets read, so a header alone
+// reserves no more than maxEntryPrealloc; until then, and after the order
+// breaks, blocks are kept as they are for csr to copy.
+type entryList struct {
+	want int // the triplets expected, or 0 if not known
+	rows int // the matrix's rows, the most runs an ordered list can have
+	n    int
+	// ordered reports whether the whole list is in strictly increasing
+	// (row, col) order; last is its last coordinate.
+	ordered bool
+	last    [2]int32
+	// col and val, once reserved, hold the columns and values of the
+	// first copied triplets, and runs counts them per row.
+	col    []int32
+	val    []float64
+	runs   []rowRun
+	copied int
+	parts  []*blockTriplets // the blocks not copied, in order
+}
+
+// add appends the triplets of t. It reports whether the list keeps t;
+// if not, t was copied and is the caller's to reuse.
+func (l *entryList) add(t *blockTriplets) (kept bool) {
+	k := len(t.row)
+	if k == 0 {
+		return false
+	}
+	first := [2]int32{t.row[0], t.col[0]}
+	l.ordered = t.ordered && (l.n == 0 || l.ordered &&
+		(l.last[0] < first[0] || l.last[0] == first[0] && l.last[1] < first[1]))
+	l.last = [2]int32{t.row[k-1], t.col[k-1]}
+	l.n += k
+	if !l.ordered || l.n > l.want || l.col == nil && l.want > maxEntryPrealloc+2*l.n {
+		l.parts = append(l.parts, t)
+		return true
+	}
+	if l.col == nil {
+		l.col, l.val = make([]int32, l.want), make([]float64, l.want)
+		l.runs = make([]rowRun, 0, min(l.rows, l.want))
+	}
+	for _, p := range l.parts {
+		l.copyIn(p)
+		releaseTriplets(p)
+	}
+	l.parts = l.parts[:0]
+	l.copyIn(t)
+	return false
+}
+
+// copyIn copies the columns and values of the ordered t into the reserved
+// arrays and adds its row runs to the list's.
+func (l *entryList) copyIn(t *blockTriplets) {
+	copy(l.col[l.copied:], t.col)
+	copy(l.val[l.copied:], t.val)
+	l.copied += len(t.col)
+	runs := t.runs
+	if r := len(l.runs) - 1; r >= 0 && l.runs[r].row == runs[0].row {
+		l.runs[r].n += runs[0].n
+		runs = runs[1:]
+	}
+	l.runs = append(l.runs, runs...)
+}
+
+// release returns the blocks the list still holds to the triplet pool.
+func (l *entryList) release() {
+	for _, t := range l.parts {
+		releaseTriplets(t)
+	}
+	l.parts = nil
+}
+
+// csr assembles the rows x cols CSR matrix of the list's in-range
+// triplets, the result buildCSR gives. A list whose blocks were all copied
+// needs neither its rows nor a pass over its triplets: its columns and
+// values are the CSR arrays, and its row runs add up to the row pointers.
+// Any other list is copied once, its copied prefix's rows rebuilt from the
+// runs, and handed to buildCSR.
+func (l *entryList) csr(rows, cols int) *CSR {
+	if !l.ordered || l.copied < l.n {
+		ri, ci, v := make([]int32, l.n), make([]int32, l.n), make([]float64, l.n)
+		off := 0
+		for _, run := range l.runs {
+			for end := off + int(run.n); off < end; off++ {
+				ri[off] = run.row
+			}
+		}
+		copy(ci, l.col[:l.copied])
+		copy(v, l.val[:l.copied])
+		for _, t := range l.parts {
+			copy(ri[off:], t.row)
+			copy(ci[off:], t.col)
+			copy(v[off:], t.val)
+			off += len(t.row)
+		}
+		return buildCSR(rows, cols, ri, ci, v)
+	}
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1),
+		ColIdx: l.col[:l.n:l.n], Vals: l.val[:l.n:l.n]}
+	for _, run := range l.runs {
+		m.RowPtr[run.row+1] = int64(run.n)
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }
 
 // buildCSR assembles a rows x cols CSR matrix from in-range coordinate

@@ -169,10 +169,10 @@ func TestReadLimits(t *testing.T) {
 	}
 }
 
-// differentialSeeds steer the differential fuzzer at the corners where the
-// fast tokenizer hands over to the strings/strconv path: non-ASCII
-// whitespace, signs, leading zeros and index tokens too long for the fast
-// integer parser.
+// differentialSeeds steer the differential fuzzers at the corners where the
+// fast tokenizers hand over to the strings/strconv path: non-ASCII
+// whitespace, signs, leading zeros, index tokens too long for the fast
+// integer parsers, and the single-pass line scanner's edges.
 var differentialSeeds = []string{
 	"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 2 -2\n",
 	"%%MatrixMarket matrix coordinate real general\n2 2 2\n % comment\n+1 +2 +3\n2 1 -4e-1\n",
@@ -183,6 +183,17 @@ var differentialSeeds = []string{
 	"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1 é\n3\t3\r\n",
 	"%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 3\n2 1 nan\n3 1 -0\n3 2 inf\n",
 	"%%MatrixMarket matrix coordinate real general\n2 2 3\n2 2 1\n1 1 1e16\n2 2 1e16\n",
+	// The single-pass line scanner's edges (scannerEdgeSeeds, with sizes
+	// inside fuzzLimits).
+	"%%MatrixMarket matrix coordinate real general\n3 4000 5\n1 1234567 1\n2 12345678 2\n3 123456789 3\n1 0000001 4\n003 0003999 5\n",
+	"%%MatrixMarket matrix coordinate real general\n9 9 9\n1 1 1\n2 2 2\n3 3 3\n4 4 4\n5 5 5\n6 6 6\n7 7 7\n8 8 8\n9 9 9",
+	"%%MatrixMarket matrix coordinate real general\n4 4 8\n1 1 +3\n1 2 -0\n1 3 .5\n1 4 5.\n2 1 -.5\n2 2 +5.\n2 3 -1\n+2 -4 1\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 6\n1 1 123456789012345\n1 2 1234567890123456\n1 3 12345678901234567\n" +
+		"2 1 0.0000000000000000000001\n2 2 0.00000000000000000000001\n3 3 1.0000000000000000000000\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 6\n1 1 1e5\n1 2 inf\n1 3 nan\n2 1 -0.5\n2 2 .\n3 3 -\n",
+	"%%MatrixMarket matrix coordinate real general\n3 3 6\n1\t1\t1\n1  2  2\n1 3 3\r\n2 1 4 \n 2 2 5\n3 3\t6\r\n",
+	"%%MatrixMarket matrix coordinate pattern general\n3 3000 4\n1 2999\n2 12345678\n03 0000001\n2 3\r\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n1000 1000 4\n1 1 1\n1000 1 -2.5\n0001000 999 1e1\n7 3 123456789012345\n",
 }
 
 // sameParse asserts two readers produced the same matrix: identical

@@ -3,10 +3,12 @@ package matrix
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -85,9 +87,9 @@ var errLineTooLong = errors.New("matrix: MatrixMarket line exceeds 1 MiB")
 // The entry lines are read in blocks of about 64 KiB and parsed by up to
 // GOMAXPROCS goroutines at once. Whatever follows the declared number of
 // entries is ignored, bad lines and read errors included. The reader reads
-// past the last declared entry by at most the GOMAXPROCS blocks it keeps in
-// flight, each about 64 KiB unless one longer line, of under 1 MiB, fills
-// it.
+// past the last declared entry by at most the GOMAXPROCS+1 blocks it keeps
+// in flight (one block at GOMAXPROCS=1), each about 64 KiB unless one
+// longer line, of under 1 MiB, fills it.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimited(r, DefaultReadLimits())
 }
@@ -107,11 +109,7 @@ func readMatrixMarket(r io.Reader, lim ReadLimits, size, workers int) (*CSR, err
 	if err != nil {
 		return nil, err
 	}
-	t, err := readEntries(src, f, nnz, workers)
-	if err != nil {
-		return nil, err
-	}
-	return buildCSR(f.rows, f.cols, t.row, t.col, t.val), nil
+	return readEntries(src, f, nnz, workers)
 }
 
 // entryFormat is what the header says about the entry lines.
@@ -205,29 +203,32 @@ func readHeader(src *blockSource, lim ReadLimits) (*entryFormat, int, error) {
 	return f, nnz, nil
 }
 
-// readEntries reads the first nnz entries into triplets, in file order. It
-// keeps up to workers blocks in flight: each is parsed whole into its own
-// triplets by one of workers goroutines, and the blocks are merged in file
-// order, so the first error in the file wins and nothing past the last
-// declared entry counts. With one worker, or a stream that ends within its
-// first block, every block is parsed inline.
-func readEntries(src *blockSource, f *entryFormat, nnz, workers int) (*triplets, error) {
-	// The declared count bounds how far the triplet arrays grow: a general
-	// file fills them exactly, a symmetric one at most twice over.
-	limit := nnz
+// readEntries reads the first nnz entries and assembles them into a CSR
+// matrix. It keeps one block more in flight than there are workers, so a
+// worker that finishes a block finds the next one queued: each is parsed
+// whole into its own triplets by one of workers goroutines, and the blocks
+// are merged in file order, so the first error in the file wins and
+// nothing past the last declared entry counts. With one worker, or a
+// stream that ends within its first block, every block is parsed inline,
+// one at a time.
+func readEntries(src *blockSource, f *entryFormat, nnz, workers int) (*CSR, error) {
+	// A general file's triplets are its entries; a mirrored file's count
+	// is known only once they are read.
+	list := entryList{want: nnz, rows: f.rows}
 	if f.mirror {
-		limit = nnz * 2
-		if nnz > math.MaxInt/2 {
-			limit = math.MaxInt
-		}
+		list.want = 0
 	}
-	t := newTriplets(min(nnz, maxEntryPrealloc), limit)
+	defer list.release()
 	if nnz == 0 {
-		return t, nil
+		return list.csr(f.rows, f.cols), nil
 	}
 	// The ring's slots keep their buffers for the whole read, so blocks
-	// reuse them without a pool round trip each.
-	depth := max(workers, 1)
+	// reuse them without a pool round trip each, and their triplets too
+	// unless the list keeps them.
+	depth := 1
+	if workers > 1 {
+		depth = workers + 1
+	}
 	ring := make([]entryBlock, depth)
 	head, queued := 0, 0
 	var jobs chan *entryBlock
@@ -284,16 +285,20 @@ func readEntries(src *blockSource, f *entryFormat, nnz, workers int) (*triplets,
 		head, queued = (head+1)%depth, queued-1
 		b.wait()
 		need := nnz - read
-		bt := b.t
-		if b.entries >= need {
+		last := b.entries >= need
+		if last {
 			k := need
 			if f.mirror {
-				k = bt.tripletsOf(need)
+				k = b.t.tripletsOf(need)
 			}
-			t.addAll(bt.row[:k], bt.col[:k], bt.val[:k])
-			return t, nil
+			b.t.truncate(k)
 		}
-		t.addAll(bt.row, bt.col, bt.val)
+		if list.add(b.t) {
+			b.t = nil // the slot's next block takes new triplets
+		}
+		if last {
+			return list.csr(f.rows, f.cols), nil
+		}
 		read += b.entries
 		if b.err != nil {
 			return nil, b.err
@@ -319,12 +324,6 @@ type entryBlock struct {
 	pending bool          // the block went to a worker and done is unread
 }
 
-// blockTriplets is a block's share of the triplets, pooled across reads.
-type blockTriplets struct {
-	row, col []int32
-	val      []float64
-}
-
 var (
 	blockPool   = sync.Pool{New: func() any { b := make([]byte, 0, blockBytes); return &b }}
 	tripletPool = sync.Pool{New: func() any { return new(blockTriplets) }}
@@ -338,39 +337,84 @@ func (b *entryBlock) wait() {
 	}
 }
 
-// release returns b's buffer and triplets to their pools. Scratch grown
-// past what a 64 KiB block of 10-byte lines needs is left to the garbage
-// collector.
+// release returns b's buffer and triplets to their pools.
 func (b *entryBlock) release() {
 	if b.buf != nil {
 		releaseBlock(b.buf)
 	}
-	if b.t != nil && cap(b.t.row) <= 2*(blockBytes/10+1) {
-		tripletPool.Put(b.t)
+	if b.t != nil {
+		releaseTriplets(b.t)
 	}
 	b.buf, b.t = nil, nil
 }
 
+// releaseTriplets returns t to its pool, unless it grew past what a 64 KiB
+// block of 10-byte lines needs.
+func releaseTriplets(t *blockTriplets) {
+	if cap(t.row) <= 2*(blockBytes/10+1) {
+		tripletPool.Put(t)
+	}
+}
+
 // parse reads the entry lines of b into its triplets, stopping at the first
-// bad line or out-of-range index. The triplets are sized for entry lines of
-// 10 bytes or more, like "1000 1000 1\n"; denser blocks grow them.
+// bad line or out-of-range index, and then summarizes them for the merge.
+// The triplets are sized for entry lines of 10 bytes or more, like
+// "1000 1000 1\n"; denser blocks grow them.
+//
+// The common line is read here in one pass: two indices of 1 to 7 digits,
+// each read with one 8-byte load, then '\n' in a pattern file and in any
+// other a ' ' and a value token of an optional sign, digits and at most one
+// ".", ended by '\n'. The indices are separated by one ' '. Every other
+// line, and every line that starts within 16 bytes of the end of the block,
+// goes to parseEntryFast and parseEntrySlow, which define what is accepted.
 func (b *entryBlock) parse(f *entryFormat) {
 	data := (*b.buf)[b.from:]
 	if b.t == nil {
 		b.t = tripletPool.Get().(*blockTriplets)
 	}
-	n := len(data)/10 + 1
+	t := b.t
+	size := len(data)/10 + 1
 	if f.mirror {
-		n *= 2
+		size *= 2
 	}
-	if cap(b.t.row) < n {
-		b.t.row, b.t.col, b.t.val = make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)
-	}
-	row, col, val := b.t.row[:0], b.t.col[:0], b.t.val[:0]
-	entries := 0
+	t.reset(size)
+	row, col, val := t.row, t.col[:len(t.row)], t.val[:len(t.row)]
+	k, entries := 0, 0
 	var err error
 	for p := 0; p < len(data); {
-		i, j, v, next, st := parseEntryFast(data, p, f.pattern)
+		var i, j int
+		v, next, st := 1.0, 0, entrySlow
+		if q := p; q+16 <= len(data) {
+			var n int
+			x := binary.LittleEndian.Uint64(data[q:])
+			if n = swarLen(x); uint(n-1) < 7 && byte(x>>(8*n)) == ' ' {
+				i = swarValue(x, n)
+				q += n + 1
+				x = binary.LittleEndian.Uint64(data[q:])
+				if n = swarLen(x); uint(n-1) < 7 {
+					j = swarValue(x, n)
+					q += n
+					if sep := byte(x >> (8 * n)); f.pattern {
+						if sep == '\n' {
+							next, st = q+1, entryOK
+						}
+					} else if sep == ' ' {
+						var exact bool
+						start := q + 1
+						if v, q, exact = scanDecimal(data, start); q < len(data) && data[q] == '\n' {
+							if exact {
+								next, st = q+1, entryOK
+							} else if pv, err := strconv.ParseFloat(string(data[start:q]), 64); err == nil {
+								v, next, st = pv, q+1, entryOK
+							}
+						}
+					}
+				}
+			}
+		}
+		if st == entrySlow {
+			i, j, v, next, st = parseEntryFast(data, p, f.pattern)
+		}
 		if st == entrySlow {
 			line := data[p:lineEnd(data, p)]
 			next = p + len(line) + 1
@@ -386,17 +430,47 @@ func (b *entryBlock) parse(f *entryFormat) {
 			err = fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrIndexRange, i, j, f.rows, f.cols)
 			break
 		}
-		row, col, val = append(row, int32(i-1)), append(col, int32(j-1)), append(val, v)
+		if k+2 > len(row) {
+			t.row, t.col, t.val = row[:k], col[:k], val[:k]
+			t.reset(2 * len(row))
+			row, col, val = t.row, t.col[:len(t.row)], t.val[:len(t.row)]
+		}
+		row[k], col[k], val[k] = int32(i-1), int32(j-1), v
+		k++
 		if f.mirror && i != j {
 			if f.skew {
 				v = -v
 			}
-			row, col, val = append(row, int32(j-1)), append(col, int32(i-1)), append(val, v)
+			row[k], col[k], val[k] = int32(j-1), int32(i-1), v
+			k++
 		}
 		entries++
 	}
-	b.t.row, b.t.col, b.t.val = row, col, val
+	t.row, t.col, t.val = row[:k], col[:k], val[:k]
+	t.summarize()
 	b.entries, b.err = entries, err
+}
+
+// swarLen returns how many ASCII digits lead the 8 bytes of x, the first
+// in its low byte.
+func swarLen(x uint64) int {
+	// A byte is a digit when its high nibble is 3 both as it is and plus
+	// 6. A carry out of a byte of 0xFA or more reaches only the bytes after
+	// it, and that non-digit ends the run before them.
+	nd := (x&0xF0F0F0F0F0F0F0F0 ^ 0x3030303030303030) |
+		((x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0 ^ 0x3030303030303030)
+	return bits.TrailingZeros64(nd) >> 3
+}
+
+// swarValue returns the value of the n digits, 1 to 7 of them, that lead
+// x: it shifts them, the most significant first, into the top bytes above
+// zeros, and combines adjacent digits, then pairs, then quads.
+func swarValue(x uint64, n int) int {
+	v := (x & 0x0F0F0F0F0F0F0F0F) << ((64 - 8*n) & 63)
+	v = v * (10<<8 + 1) >> 8
+	v = (v & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	v = (v & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
+	return int(v)
 }
 
 // inBounds reports whether the 1-based (i, j) lies inside the matrix. The
@@ -563,9 +637,9 @@ const (
 // entryOK or entrySkip only where parseEntrySlow would read the line the
 // same way: ASCII-whitespace-separated fields, index tokens of at most
 // maxFastIndexBytes sign and digit bytes, and a value token that
-// exactDecimal or strconv.ParseFloat accepts. A byte >= 0x80 inside a field
-// fails the index or value parse, so every such line, like every malformed
-// one, is answered entrySlow.
+// scanDecimal converts exactly or strconv.ParseFloat accepts. A byte >= 0x80
+// inside a field fails the index or value parse, so every such line, like
+// every malformed one, is answered entrySlow.
 func parseEntryFast(b []byte, p int, pattern bool) (i, j int, val float64, next int, st entryStatus) {
 	p = skipBlank(b, p)
 	if p == len(b) || b[p] == '\n' {
@@ -584,14 +658,13 @@ func parseEntryFast(b []byte, p int, pattern bool) (i, j int, val float64, next 
 	val = 1
 	if !pattern {
 		p = skipBlank(b, p)
-		end := p
-		for end < len(b) && !isSpace(b[end]) {
-			end++
-		}
-		if end == p {
-			return 0, 0, 0, 0, entrySlow
-		}
-		if val, ok = exactDecimal(b[p:end]); !ok {
+		var end int
+		if val, end, ok = scanDecimal(b, p); !ok || end < len(b) && !isSpace(b[end]) {
+			for end = p; end < len(b) && !isSpace(b[end]); end++ {
+			}
+			if end == p {
+				return 0, 0, 0, 0, entrySlow
+			}
 			// The conversion does not allocate: strconv copies the string
 			// only to report an error.
 			var err error
@@ -610,63 +683,57 @@ var float64pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// exactDecimal converts a token of an optional sign, digits and an optional
-// "." — at least one digit, at most 15 of them from the first nonzero one
-// on, and at most 22 after the "." — the way strconv.ParseFloat does: the
-// digits as an integer, which is below 2^52 and so exact, divided by an
-// exact power of ten, one correctly rounded step. It reports false for any
-// other token.
-func exactDecimal(tok []byte) (float64, bool) {
-	p := 0
+// scanDecimal reads the token at b[p] of an optional sign, digits and at
+// most one ".", up to the first byte that cannot extend it, and returns the
+// index of that byte. When the token has at least one digit, at most 15 of
+// them from the first nonzero one on, and at most 22 after the ".", exact is
+// true and val is the token's value, converted the way strconv.ParseFloat
+// does: the digits as an integer, which is below 2^52 and so exact, divided
+// by an exact power of ten, one correctly rounded step.
+func scanDecimal(b []byte, p int) (val float64, end int, exact bool) {
 	neg := false
-	if len(tok) > 0 && (tok[0] == '-' || tok[0] == '+') {
-		neg = tok[0] == '-'
+	if p < len(b) && (b[p] == '-' || b[p] == '+') {
+		neg = b[p] == '-'
 		p++
 	}
-	// Zeros before the first nonzero digit are not significant; past them,
-	// a token of 17 bytes or more has 16 significant digits or more.
-	q := p
-	for q < len(tok) && (tok[q] == '0' || tok[q] == '.') {
-		q++
+	// Zeros before the first nonzero digit are not significant.
+	zeros, dot := 0, -1
+	for ; p < len(b); p++ {
+		if c := b[p]; c == '0' {
+			zeros++
+		} else if c == '.' && dot < 0 {
+			dot = zeros
+		} else {
+			break
+		}
 	}
-	if len(tok)-q > 16 {
-		return 0, false
+	mant, sig := 0, 0
+	for ; p < len(b); p++ {
+		c := b[p]
+		if d := c - '0'; d <= 9 {
+			mant = mant*10 + int(d)
+			sig++
+		} else if c == '.' && dot < 0 {
+			dot = zeros + sig
+		} else {
+			break
+		}
 	}
-	var mant uint64
-	digits, sig, frac := 0, 0, 0
-	dot := false
-	for ; p < len(tok); p++ {
-		c := tok[p]
-		if c == '.' && !dot {
-			dot = true
-			continue
-		}
-		d := c - '0'
-		if d > 9 {
-			return 0, false
-		}
-		digits++
-		if dot {
-			frac++
-		}
-		if mant != 0 || d != 0 {
-			if sig++; sig > 15 {
-				return 0, false
-			}
-		}
-		mant = mant*10 + uint64(d)
+	digits, frac := zeros+sig, 0
+	if dot >= 0 {
+		frac = digits - dot
 	}
-	if digits == 0 || frac >= len(float64pow10) {
-		return 0, false
+	if digits == 0 || sig > 15 || frac >= len(float64pow10) {
+		return 0, p, false
 	}
 	f := float64(mant)
 	if neg {
 		f = -f
 	}
 	if frac == 0 {
-		return f, true
+		return f, p, true
 	}
-	return f / float64pow10[frac], true
+	return f / float64pow10[frac], p, true
 }
 
 // parseEntrySlow parses an entry line with the unicode-aware strings and

@@ -132,10 +132,71 @@ func TestBlockReaderMatchesOracle(t *testing.T) {
 		"duplicates across blocks":      []byte(general + "\n2 2 6\n1 1 1e16\n2 2 1\n1 1 1\n2 2 1e16\n1 1 -1e16\n2 2 -1e16\n"),
 		"symmetric truncated mid-count": []byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n2 1 1\n3 1 2\n3 3 3\n"),
 		"symmetric cut after count":     []byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1\n3 3 3\n3 2 zebra\n"),
+		"order breaks in last line":     replaceLastEntry(lf, "1 1 0.5", "\n"),
+	}
+	for name, data := range scannerEdgeSeeds {
+		cases["scanner edge: "+name] = []byte(data)
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			checkBlocksAgainstOracle(t, data, DefaultReadLimits())
+		})
+	}
+}
+
+// scannerEdgeSeeds aim at the boundaries of the single-pass line scanner
+// in (*entryBlock).parse and its hand-over to parseEntryFast and
+// parseEntrySlow: index runs of 7, 8 and 9 digits and leading zeros, lines
+// near a block's end and a last line without "\n", signs, values at the
+// exact converter's digit limits, exponents and special values, other
+// whitespace, and pattern and symmetric headers. They seed the
+// differential fuzzers too.
+var scannerEdgeSeeds = map[string]string{
+	"long column indices": "%%MatrixMarket matrix coordinate real general\n3 999999999 7\n" +
+		"1 1234567 1\n2 12345678 2\n3 123456789 3\n1 0000001 4\n2 00000000000000000002 5\n003 999999999 6\n01 0000000000000001234567 7\n",
+	"seven-digit rows":         "%%MatrixMarket matrix coordinate real general\n1234567 2 3\n1234567 1 1\n0001234 2 2\n1000000 1 -3\n",
+	"eight-digit row":          "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n12345678 1 1\n",
+	"nine-digit column":        "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n1 123456789 1\n",
+	"short lines, no final lf": "%%MatrixMarket matrix coordinate real general\n9 9 9\n1 1 1\n2 2 2\n3 3 3\n4 4 4\n5 5 5\n6 6 6\n7 7 7\n8 8 8\n9 9 9",
+	"signed indices":           "%%MatrixMarket matrix coordinate real general\n3 3 3\n+1 1 1\n2 +2 2\n3 3 3\n",
+	"negative index":           "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n1 -2 1\n",
+	"signed and bare values": "%%MatrixMarket matrix coordinate real general\n4 4 8\n1 1 +3\n1 2 -0\n1 3 .5\n1 4 5.\n" +
+		"2 1 -.5\n2 2 +5.\n2 3 -0.0\n2 4 007\n",
+	"lone sign or point": "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 .\n",
+	"significant digits": "%%MatrixMarket matrix coordinate real general\n3 3 6\n1 1 123456789012345\n1 2 1234567890123456\n" +
+		"1 3 12345678901234567\n2 1 -0.000123456789012345\n2 2 1.23456789012345678\n3 3 99999999999999999999999\n",
+	"fraction digits": "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 0.0000000000000000000001\n" +
+		"1 2 0.00000000000000000000001\n2 2 1.0000000000000000000000\n",
+	"exponents and specials": "%%MatrixMarket matrix coordinate real general\n3 3 7\n1 1 1e5\n1 2 1E-3\n1 3 -2.5e+2\n" +
+		"2 1 inf\n2 2 -Inf\n2 3 nan\n3 3 0x1p-2\n",
+	"tabs, double spaces, crlf": "%%MatrixMarket matrix coordinate real general\n3 3 6\n1\t1\t1\n1  2  2\n1 3 3\r\n" +
+		"2 1 4 \n 2 2 5\n3 3\t6\r\n",
+	"pattern edges":   "%%MatrixMarket matrix coordinate pattern general\n3 1234567 5\n1 1234567\n2 12345678\n03 0000001\n1 2 \n2 3\r\n",
+	"pattern missing": "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 1\n2\n",
+	"symmetric edges": "%%MatrixMarket matrix coordinate real symmetric\n1234567 1234567 5\n1 1 1\n1234567 1 -2.5\n" +
+		"1234567 1234567 .5\n0001000 999 1e1\n7 3 123456789012345\n",
+	"skew-symmetric edges": "%%MatrixMarket matrix coordinate integer skew-symmetric\n9 9 3\n2 1 -0\n9 1 +7\n9 8 12345678901234567\n",
+}
+
+// TestReadLongOrderedBody reads bodies of more than maxEntryPrealloc
+// entries, whose CSR arrays are reserved only once half of the entries are
+// in, against readOracle: one in row order throughout, and one whose order
+// breaks in its last line, after the reservation.
+func TestReadLongOrderedBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := randomCSR(t, rng, 1<<12, 1<<12, float64(maxEntryPrealloc+5000)/(1<<24))
+	if m.NNZ() <= maxEntryPrealloc {
+		t.Fatalf("%d nonzeros, want more than %d", m.NNZ(), maxEntryPrealloc)
+	}
+	body := entryBody(t, m, "%%MatrixMarket matrix coordinate real general", "\n")
+	for name, data := range map[string][]byte{
+		"ordered":           body,
+		"order breaks last": replaceLastEntry(body, "1 1 0.25", "\n"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range blockWorkers {
+				checkBlockRead(t, data, DefaultReadLimits(), blockBytes, workers)
+			}
 		})
 	}
 }
@@ -191,11 +252,17 @@ func FuzzBlockReaderDifferential(f *testing.F) {
 	})
 }
 
-// TestExactDecimalMatchesStrconv holds the exact value step to
+// TestExactDecimalMatchesStrconv holds scanDecimal's exact value step to
 // strconv.ParseFloat bit for bit on the tokens it accepts, and checks that
 // it accepts exactly the tokens in its form: at most 15 significant digits,
 // at most 22 fraction digits, no exponent.
 func TestExactDecimalMatchesStrconv(t *testing.T) {
+	// A token is in the converter's form when scanDecimal reads all of it
+	// and converts it exactly.
+	exactDecimal := func(tok []byte) (float64, bool) {
+		v, end, exact := scanDecimal(tok, 0)
+		return v, exact && end == len(tok)
+	}
 	for _, tc := range []struct {
 		tok   string
 		exact bool

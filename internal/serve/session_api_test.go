@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,12 +10,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wise/internal/matrix"
 	"wise/internal/resilience"
+	"wise/internal/session"
 )
 
 func postMatrix(t *testing.T, url string, body []byte) (int, matrixResponse) {
@@ -475,4 +479,76 @@ func TestDrainReportsPinnedSessions(t *testing.T) {
 		t.Fatalf("serve.drain_pinned_sessions = %v at SIGTERM, want 1", got)
 	}
 	s.Sessions().Release(ent)
+}
+
+// rawPost sends body to path with the Content-Length header given as is, or
+// with none and a chunked body when contentLength is "", and returns the
+// answer's status and body.
+func rawPost(t *testing.T, url, path string, body []byte, contentLength string) (int, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var req bytes.Buffer
+	fmt.Fprintf(&req, "POST %s HTTP/1.1\r\nHost: wise\r\nConnection: close\r\nContent-Type: text/plain\r\n", path)
+	if contentLength == "" {
+		fmt.Fprintf(&req, "Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body)
+	} else {
+		fmt.Fprintf(&req, "Content-Length: %s\r\n\r\n%s", contentLength, body)
+	}
+	if _, err := conn.Write(req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestMatrixBodyContentLength pins the body read behind /matrix and /spmv
+// to what the declared length lets the server read: a correct or absent
+// Content-Length reads the whole body, a too-small one reads only the
+// bytes it declares, and a body over the cap is refused with 413 however
+// it declares its length.
+func TestMatrixBodyContentLength(t *testing.T) {
+	entries := mmBytes(t, testMatrix(t))
+	body := append(append([]byte(nil), entries...), "% trailing comment past the entries\n"...)
+	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = int64(len(body)) + 64 })
+	fingerprint := func(status int, data []byte) string {
+		t.Helper()
+		var mr matrixResponse
+		if status != http.StatusOK || json.Unmarshal(data, &mr) != nil || mr.Fingerprint == "" {
+			t.Fatalf("status %d, body %s", status, data)
+		}
+		return mr.Fingerprint
+	}
+	want := session.Fingerprint(body)
+	short := len(entries) + 5
+	for _, tc := range []struct {
+		name, contentLength string
+		fp                  string
+	}{
+		{"correct", strconv.Itoa(len(body)), want},
+		{"absent", "", want},
+		{"too small", strconv.Itoa(short), session.Fingerprint(body[:short])},
+	} {
+		if got := fingerprint(rawPost(t, ts.URL, "/matrix", body, tc.contentLength)); got != tc.fp {
+			t.Errorf("%s Content-Length: fingerprint %s, want %s", tc.name, got, tc.fp)
+		}
+	}
+
+	over := append(append([]byte(nil), body...), strings.Repeat("%\n", 64)...)
+	for _, contentLength := range []string{strconv.Itoa(len(over)), ""} {
+		if status, data := rawPost(t, ts.URL, "/matrix", over, contentLength); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("over the cap, Content-Length %q: status %d (%s), want 413", contentLength, status, data)
+		}
+	}
 }

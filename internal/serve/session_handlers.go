@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -154,14 +153,20 @@ func buildFailed(ctx context.Context, w http.ResponseWriter, err error, onDeadli
 }
 
 // readBody drains the capped request body; on failure it answers the
-// request and reports false.
+// request and reports false. A body whose Content-Length is within the cap
+// is read into a buffer sized for it up front, not grown by copying.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// ReadFrom keeps bytes.MinRead free for each read, the last one,
+		// which finds the end of the body, included.
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		rejectBody(w, err)
 		return nil, false
 	}
-	return body, true
+	return body.Bytes(), true
 }
 
 // handleMatrix ingests a matrix into the session store and always answers

@@ -132,7 +132,8 @@ func Extract(m *matrix.CSR, cfg Config) Features {
 // ExtractCtx is Extract with cancellation threaded through the row-scan
 // loops, for callers with deadlines (wise-serve requests, wise-predict
 // -timeout). On cancellation it returns ctx's error; the partial vector is
-// discarded.
+// discarded. Every feature is a function of the sparsity pattern, so m
+// may come from matrix.ReadStructure, with nil Vals.
 func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error) {
 	if cfg.K < 1 {
 		cfg.K = 1
@@ -293,7 +294,8 @@ func walkRows(ctx context.Context, m *matrix.CSR, t tiling) (rowWalk, error) {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
 			return rowWalk{}, fmt.Errorf("features: extract: %w", ctx.Err())
 		}
-		cols, _ := m.Row(i)
+		// ColIdx alone: a structure read leaves Vals nil.
+		cols := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
 		tr := i / t.tileRows
 		w.rowCounts[i] = int64(len(cols))
 		w.rbCounts[tr] += int64(len(cols))

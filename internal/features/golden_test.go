@@ -1,8 +1,12 @@
 //go:build !race
 
-// The golden hash is a deterministic single-goroutine computation over the
-// whole default corpus: the race detector has nothing to find in it and
-// would only make it minutes long, so race builds leave it out.
+// The golden hash is a deterministic computation over the whole default
+// corpus. Extraction walks each matrix on up to GOMAXPROCS goroutines, but
+// the walks only count integers, summed in any order to the same totals,
+// so the vectors do not depend on the schedule. The other extraction tests
+// run those walks under the race detector on small matrices; over the
+// corpus it would only make this test minutes long, so race builds leave
+// it out.
 
 package features
 

@@ -204,6 +204,26 @@ func TestShadowPanicQuarantined(t *testing.T) {
 	}
 }
 
+// TestShadowMeasuresRealKernels drives /predict with the production
+// measurer: the shadow lane multiplies with the parsed matrix, so a server
+// with the loop on must read the values of every body. The quarantine
+// would count a multiply over a value-free matrix as a panic and let the
+// request pass, so the test asserts on the counters: measurements rise,
+// panics do not.
+func TestShadowMeasuresRealKernels(t *testing.T) {
+	measuredBefore, panicsBefore := shadowMeasured.Value(), shadowPanics.Value()
+	_, ts := startFeedbackServer(t, Config{ModelPath: sharedModelPath, ReloadPoll: -1, ShadowRate: 1})
+	body := mmBytes(t, testMatrix(t))
+	if !driveUntil(t, ts.URL, body, 10*time.Second, func() bool {
+		return shadowMeasured.Value() >= measuredBefore+3 || shadowPanics.Value() > panicsBefore
+	}) {
+		t.Fatalf("shadow_measured %d, was %d: the real measurer never finished", shadowMeasured.Value(), measuredBefore)
+	}
+	if p := shadowPanics.Value(); p != panicsBefore {
+		t.Fatalf("shadow_panics %d, was %d: the measurer panicked on a /predict matrix", p, panicsBefore)
+	}
+}
+
 // TestRetrainFailureRetried arms retrain.fail for the first attempt: the
 // failure is contained (serving untouched, serve.retrains_failed counted)
 // and the still-tripped detector drives a second attempt that succeeds and

@@ -91,14 +91,17 @@ func (s *Server) endpoint(counter *obs.Counter, h func(context.Context, http.Res
 
 // handlePredict answers a named fingerprint from its session; any other
 // request is one stateless inspection, parsed straight off the capped body
-// reader — nothing buffered, inserted or converted.
+// reader — nothing buffered, inserted or converted. Without the shadow
+// loop nothing multiplies with the matrix, so the body is read for its
+// sparsity pattern alone (matrix.ReadStructure): the values are checked
+// but not kept.
 func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	if fp := fingerprintOf(r); fp != "" {
 		s.answerPredictSession(w, fp, start)
 		return
 	}
 	lm := s.models.current()
-	in, err := s.inspect(ctx, lm, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	in, err := s.inspect(ctx, lm, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.feedback != nil)
 	if err != nil {
 		rejectBody(w, err)
 		return
@@ -146,7 +149,8 @@ func (s *Server) acquireSession(w http.ResponseWriter, fp string) (*session.Entr
 
 // inspection is one inspector pass over a request body. reason is empty
 // when the predictor ran; otherwise sel is the serving generation's
-// fallback and reason says why.
+// fallback and reason says why. m.Vals is nil unless inspect was asked
+// for the values.
 type inspection struct {
 	m      *matrix.CSR
 	feat   features.Features
@@ -155,11 +159,16 @@ type inspection struct {
 }
 
 // inspect is the inspector path of every endpoint: parse under the default
-// read limits (the only error), then the breaker-guarded extract + infer. A
-// predictor the breaker keeps out, that fails, or that overruns ctx
-// degrades the selection to the fallback; the outcome feeds the breaker.
-func (s *Server) inspect(ctx context.Context, lm *loadedModel, body io.Reader) (inspection, error) {
-	m, err := matrix.ReadMatrixMarketLimited(body, matrix.DefaultReadLimits())
+// read limits (the only error), with the values or for the structure
+// alone, then the breaker-guarded extract + infer. A predictor the breaker
+// keeps out, that fails, or that overruns ctx degrades the selection to
+// the fallback; the outcome feeds the breaker.
+func (s *Server) inspect(ctx context.Context, lm *loadedModel, body io.Reader, values bool) (inspection, error) {
+	read := matrix.ReadStructure
+	if values {
+		read = matrix.ReadMatrixMarketLimited
+	}
+	m, err := read(body, matrix.DefaultReadLimits())
 	if err != nil {
 		return inspection{}, err
 	}

@@ -96,7 +96,7 @@ type prepared struct {
 func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (prepared, error) {
 	pr := prepared{fp: session.Fingerprint(body)}
 	build := func(ctx context.Context) (*session.Prepared, error) {
-		in, err := s.inspect(ctx, lm, bytes.NewReader(body))
+		in, err := s.inspect(ctx, lm, bytes.NewReader(body), true)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadMatrix, err)
 		}

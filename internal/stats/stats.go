@@ -35,25 +35,24 @@ type Summary struct {
 // values must be non-negative (they are counts of nonzeros per bucket); it is
 // not modified. An empty input yields the zero Summary with PRatio 0.5 (a
 // degenerate distribution is treated as balanced).
+//
+// Gini and PRatio need the counts in order. Unless the largest count is
+// far above the number of buckets, as a hub's is, they are read from a
+// counting histogram of the counts instead of a sorted copy, with the
+// float64 operations of giniSorted and pRatioSorted in the same order, so
+// the results are bit-identical.
 func Summarize(counts []int64) Summary {
 	if len(counts) == 0 {
 		return Summary{PRatio: 0.5}
 	}
 	var (
 		sum      float64
-		min      = float64(counts[0])
-		max      = float64(counts[0])
+		lo, hi   = counts[0], counts[0]
 		nonEmpty int
 	)
 	for _, c := range counts {
-		v := float64(c)
-		sum += v
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+		sum += float64(c)
+		lo, hi = min(lo, c), max(hi, c)
 		if c != 0 {
 			nonEmpty++
 		}
@@ -66,17 +65,41 @@ func Summarize(counts []int64) Summary {
 		ss += d * d
 	}
 	variance := ss / n
-	sorted := sortedCopy(counts)
-	return Summary{
+	s := Summary{
 		Mean:     mean,
 		Std:      math.Sqrt(variance),
 		Variance: variance,
-		Min:      min,
-		Max:      max,
-		Gini:     giniSorted(sorted),
-		PRatio:   pRatioSorted(sorted),
+		Min:      float64(lo),
+		Max:      float64(hi),
 		NonEmpty: nonEmpty,
 	}
+	if lo < 0 || hi > histMax(len(counts)) {
+		sorted := sortedCopy(counts)
+		s.Gini, s.PRatio = giniSorted(sorted), pRatioSorted(sorted)
+		return s
+	}
+	var small [1024]int32 // most distributions' histograms fit on the stack
+	var hist []int32
+	if hi < int64(len(small)) {
+		hist = small[:hi+1]
+	} else {
+		hist = make([]int32, hi+1)
+	}
+	for _, c := range counts {
+		hist[c]++
+	}
+	s.Gini, s.PRatio = giniHist(hist, len(counts)), pRatioHist(hist, len(counts))
+	return s
+}
+
+// histMax is the largest count Summarize keeps a histogram for, given n
+// counts: walking it costs at most a few times a pass over the counts.
+// Above it, and beyond the int32 buckets of the histogram, it sorts.
+func histMax(n int) int64 {
+	if n > math.MaxInt32 {
+		return -1
+	}
+	return 4*int64(n) + 1024
 }
 
 // sortedCopy returns the counts in ascending order, leaving counts as is.
@@ -109,6 +132,35 @@ func giniSorted(sorted []int64) float64 {
 	}
 	nf := float64(n)
 	// G = (2*sum(i*x_i) / (n*sum(x))) - (n+1)/n with x ascending, i in 1..n.
+	g := 2*weighted/(nf*total) - (nf+1)/nf
+	if g < 0 {
+		g = 0
+	}
+	return g
+}
+
+// giniHist is giniSorted of the n counts whose histogram is hist: hist[v]
+// of them equal v. Walking it up visits them in ascending order. A zero
+// count adds +0 to both sums, which leaves them as they are, so the zero
+// bucket only advances the rank.
+func giniHist(hist []int32, n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	var total, weighted float64
+	i := int(hist[0])
+	for c, h := range hist[1:] {
+		v := float64(c + 1)
+		for ; h > 0; h-- {
+			total += v
+			i++
+			weighted += float64(i) * v
+		}
+	}
+	if total == 0 { //lint:ignore floateq sum of non-negative integer counts is 0 only when all are 0
+		return 0
+	}
+	nf := float64(n)
 	g := 2*weighted/(nf*total) - (nf+1)/nf
 	if g < 0 {
 		g = 0
@@ -160,6 +212,44 @@ func pRatioSorted(sorted []int64) float64 {
 			return prevFrac + t*(frac-prevFrac)
 		}
 		prevFrac, prevShare = frac, share
+	}
+	return 1.0 // unreachable for valid input: share reaches 1 at frac 1.
+}
+
+// pRatioHist is pRatioSorted of the n counts whose histogram is hist,
+// walked down: largest count first. As in giniHist, the zero bucket adds
+// nothing to the total.
+func pRatioHist(hist []int32, n int) float64 {
+	var total float64
+	for c := len(hist) - 1; c > 0; c-- {
+		for h := hist[c]; h > 0; h-- {
+			total += float64(c)
+		}
+	}
+	if total == 0 { //lint:ignore floateq sum of non-negative integer counts is 0 only when all are 0
+		return 0.5
+	}
+	nf := float64(n)
+	var cum float64
+	prevFrac, prevShare := 0.0, 0.0
+	i := 0
+	for c := len(hist) - 1; c >= 0; c-- {
+		for h := hist[c]; h > 0; h-- {
+			cum += float64(c)
+			i++
+			frac := float64(i) / nf
+			share := cum / total
+			if share+frac >= 1 {
+				f0 := prevShare + prevFrac - 1
+				f1 := share + frac - 1
+				if f1 == f0 { //lint:ignore floateq degenerate-interpolation guard before dividing by f1-f0
+					return frac
+				}
+				t := -f0 / (f1 - f0)
+				return prevFrac + t*(frac-prevFrac)
+			}
+			prevFrac, prevShare = frac, share
+		}
 	}
 	return 1.0 // unreachable for valid input: share reaches 1 at frac 1.
 }

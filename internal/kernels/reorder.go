@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"sort"
-
-	"wise/internal/matrix"
-)
+import "wise/internal/matrix"
 
 // RFS (Row Frequency Sorting) returns the permutation ordering all rows by
 // descending nonzero count (stable on ties). Sell-c-R applies RFS globally;
@@ -24,22 +20,29 @@ func CFS(m *matrix.CSR) matrix.Permutation {
 // consecutive positions of base, reorders rows by descending count (stable).
 // With sigma >= len(base) this degenerates to a full RFS of base; with
 // sigma <= 1 it returns base unchanged. counts[row] gives the sort key.
+//
+// It makes two stable counting-sort passes over the positions: by
+// descending count, then by window. The second keeps the first's order
+// within each window, so ties stay in position order.
 func WindowSortRows(base matrix.Permutation, counts []int64, sigma int) matrix.Permutation {
 	out := append(matrix.Permutation(nil), base...)
 	if sigma <= 1 {
 		return out
 	}
-	// The less predicate closes over a reassigned window slice so a single
-	// closure serves every window.
-	var window matrix.Permutation
-	less := func(i, j int) bool { return counts[window[i]] > counts[window[j]] }
-	for lo := 0; lo < len(out); lo += sigma {
-		hi := lo + sigma
-		if hi > len(out) {
-			hi = len(out)
-		}
-		window = out[lo:hi]
-		sort.SliceStable(window, less)
+	keys := make([]int64, len(base))
+	for pos, row := range base {
+		keys[pos] = counts[row]
+	}
+	byCount := matrix.SortByCountsDesc(keys)
+	// next[w] is the next free position of window w.
+	next := make([]int, (len(base)+sigma-1)/sigma)
+	for w := range next {
+		next[w] = w * sigma
+	}
+	for _, pos := range byCount {
+		w := int(pos) / sigma
+		out[next[w]] = base[pos]
+		next[w]++
 	}
 	return out
 }

@@ -61,6 +61,15 @@ func BuildSRVPack(m *matrix.CSR, method Method) *SRVPack {
 	return buildSRVPack(m, method, defaultRowBlock)
 }
 
+// The builder's sorts, all counting sorts over bounded integer keys. The
+// pack-equality test swaps in the comparison sorts they replaced and checks
+// that every pack comes out the same.
+var (
+	colRanks    = CFS
+	permuteCols = (*matrix.CSR).PermuteCols
+	windowSort  = WindowSortRows
+)
+
 func buildSRVPack(m *matrix.CSR, method Method, rowBlock int) *SRVPack {
 	if err := method.Validate(); err != nil {
 		panic(err)
@@ -72,8 +81,8 @@ func buildSRVPack(m *matrix.CSR, method Method, rowBlock int) *SRVPack {
 
 	work := m
 	if method.Kind == LAV1Seg || method.Kind == LAV {
-		p.ColPerm = CFS(m)
-		work = m.PermuteCols(p.ColPerm) // columns now in rank space
+		p.ColPerm = colRanks(m)
+		work = permuteCols(m, p.ColPerm) // columns now in rank space
 	}
 
 	// Determine segment column ranges in rank space.
@@ -135,9 +144,9 @@ func buildSegment(work *matrix.CSR, method Method, cLo, cHi int32) Segment {
 	case SELLPACK:
 		order = matrix.Identity(rows)
 	case SellCSigma:
-		order = WindowSortRows(matrix.Identity(rows), counts, method.Sigma)
+		order = windowSort(matrix.Identity(rows), counts, method.Sigma)
 	case SellCR, LAV1Seg, LAV:
-		order = WindowSortRows(matrix.Identity(rows), counts, rows)
+		order = windowSort(matrix.Identity(rows), counts, rows)
 	}
 
 	// Chunk widths and offsets.

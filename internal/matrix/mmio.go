@@ -422,7 +422,7 @@ func (b *entryBlock) parse(f *entryFormat) {
 					} else if sep == ' ' {
 						var exact, converts bool
 						start := q + 1
-						if v, q, exact, converts = scanDecimal(data, start); q < len(data) && data[q] == '\n' {
+						if v, q, exact, converts = scanDecimal(data, start, f.values); q < len(data) && data[q] == '\n' {
 							if exact || !f.values && converts {
 								next, st = q+1, entryOK
 							} else if pv, err := strconv.ParseFloat(string(data[start:q]), 64); err == nil {
@@ -683,7 +683,7 @@ func parseEntryFast(b []byte, p int, f *entryFormat) (i, j int, val float64, nex
 		p = skipBlank(b, p)
 		var end int
 		var exact, converts bool
-		val, end, exact, converts = scanDecimal(b, p)
+		val, end, exact, converts = scanDecimal(b, p, f.values)
 		if end < len(b) && !isSpace(b[end]) {
 			// The token goes on past the decimal, as an exponent does.
 			exact, converts = false, false
@@ -718,14 +718,16 @@ var float64pow10 = [...]float64{
 // them from the first nonzero one on, and at most 22 after the ".", exact is
 // true and val is the token's value, converted the way strconv.ParseFloat
 // does: the digits as an integer, which is below 2^52 and so exact, divided
-// by an exact power of ten, one correctly rounded step.
+// by an exact power of ten, one correctly rounded step. With long set, a
+// token of 16 to 19 such digits is converted too, by eiselLemire64, which
+// returns the correctly rounded value or declines, leaving exact false.
 //
 // converts reports that strconv.ParseFloat accepts the token: it has a
 // digit and at most maxIntegerDigits digits before the point. Such a token
 // can fail only by overflow, which takes more; a value too small to
 // represent rounds to 0 without an error. A longer integer part may still
 // convert, and is left to ParseFloat.
-func scanDecimal(b []byte, p int) (val float64, end int, exact, converts bool) {
+func scanDecimal(b []byte, p int, long bool) (val float64, end int, exact, converts bool) {
 	neg := false
 	if p < len(b) && (b[p] == '-' || b[p] == '+') {
 		neg = b[p] == '-'
@@ -742,11 +744,12 @@ func scanDecimal(b []byte, p int) (val float64, end int, exact, converts bool) {
 			break
 		}
 	}
-	mant, sig := 0, 0
+	var mant uint64
+	sig := 0
 	for ; p < len(b); p++ {
 		c := b[p]
 		if d := c - '0'; d <= 9 {
-			mant = mant*10 + int(d)
+			mant = mant*10 + uint64(d)
 			sig++
 		} else if c == '.' && dot < 0 {
 			dot = zeros + sig
@@ -758,10 +761,15 @@ func scanDecimal(b []byte, p int) (val float64, end int, exact, converts bool) {
 	if dot >= 0 {
 		frac, intDigits = digits-dot, dot
 	}
-	if digits == 0 || sig > 15 || frac >= len(float64pow10) {
-		return 0, p, false, digits > 0 && intDigits <= maxIntegerDigits
+	converts = digits > 0 && intDigits <= maxIntegerDigits
+	if digits == 0 || frac >= len(float64pow10) || sig > 15 && (!long || sig > maxLongDigits) {
+		return 0, p, false, converts
 	}
-	f := float64(mant)
+	if sig > 15 {
+		val, exact = eiselLemire64(mant, frac, neg)
+		return val, p, exact, converts
+	}
+	f := float64(int64(mant))
 	if neg {
 		f = -f
 	}

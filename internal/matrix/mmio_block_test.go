@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -309,99 +310,169 @@ func FuzzBlockReaderDifferential(f *testing.F) {
 	})
 }
 
-// TestExactDecimalMatchesStrconv holds scanDecimal's exact value step to
-// strconv.ParseFloat bit for bit on the tokens it accepts, and checks that
-// it accepts exactly the tokens in its form: at most 15 significant digits,
-// at most 22 fraction digits, no exponent.
-func TestExactDecimalMatchesStrconv(t *testing.T) {
-	// A token is in the converter's form when scanDecimal reads all of it
-	// and converts it exactly.
-	exactDecimal := func(tok []byte) (float64, bool) {
-		v, end, exact, _ := scanDecimal(tok, 0)
-		return v, exact && end == len(tok)
-	}
-	for _, tc := range []struct {
-		tok   string
-		exact bool
-	}{
-		{"0", true}, {"-0", true}, {"+0", true}, {"-0.0", true}, {"1", true}, {"-1", true}, {"4", true},
-		{"5.", true}, {".5", true}, {"-.5", true}, {"+5.", true}, {"007", true}, {"-000.000", true},
-		{"0.1", true}, {"0.3", true}, {"-2.675", true}, {"1.5e3", false}, {"1E3", false},
-		{"123456789012345", true}, {"1234567890123456", false},
-		{"999999999999999", true}, {"9999999999999999", false},
-		{"0.000123456789012345", true}, {"0.0001234567890123456", false},
-		{"12345678.9012345", true}, {"12345678.90123456", false},
-		{"0.0000000000000000000001", true}, {"0.00000000000000000000001", false},
-		{"0.0000000123456789012345", true}, {"0.00000000123456789012345", false},
-		{"1.0000000000000000000000", false}, {"100000000000000", true},
-		{"0000000000000000000000000000001", true},
-		{"", false}, {".", false}, {"-", false}, {"+", false}, {"-.", false}, {"1.2.3", false},
-		{"0x10", false}, {"1_0", false}, {"inf", false}, {"NaN", false}, {"--1", false}, {"1-", false},
-	} {
-		got, ok := exactDecimal([]byte(tc.tok))
-		if ok != tc.exact {
-			t.Errorf("exactDecimal(%q) ok = %v, want %v", tc.tok, ok, tc.exact)
-		}
-		if !ok {
-			continue
-		}
-		want, err := strconv.ParseFloat(tc.tok, 64)
-		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("exactDecimal(%q) = %v (%#x), strconv %v (%#x, %v)",
-				tc.tok, got, math.Float64bits(got), want, math.Float64bits(want), err)
-		}
-	}
+// Expectations of scanDecimal's exact step for one token.
+const (
+	never  = iota // the token is not in the converter's form
+	maybe         // 16 to 19 significant digits: exact or declined
+	always        // at most 15 significant digits: always exact
+)
 
-	// Random tokens around the limits: signs, leading zeros, 1-18 digits,
-	// the point anywhere or absent.
-	rng := rand.New(rand.NewSource(9))
-	accepted := 0
-	for n := 0; n < 200000; n++ {
-		var b []byte
-		switch rng.Intn(3) {
-		case 1:
-			b = append(b, '-')
-		case 2:
-			b = append(b, '+')
-		}
-		b = append(b, strings.Repeat("0", rng.Intn(4))...)
-		digits := 1 + rng.Intn(18)
-		dot := rng.Intn(digits + 2) // digits+1: no point
-		sig, frac := 0, 0
-		for d := 0; d < digits; d++ {
-			if d == dot {
-				b = append(b, '.')
-			}
-			c := byte('0' + rng.Intn(10))
-			if sig == 0 && rng.Intn(3) == 0 {
-				c = '0'
-			}
-			if c != '0' || sig > 0 {
-				sig++
-			}
-			if dot <= d {
-				frac++
-			}
-			b = append(b, c)
-		}
-		if dot == digits {
+// exactClass is the expectation for a token of sig significant digits and
+// frac digits after the point, in the form scanDecimal reads.
+func exactClass(sig, frac int) int {
+	switch {
+	case frac > 22:
+		return never
+	case sig <= 15:
+		return always
+	case sig <= 19:
+		return maybe
+	}
+	return never
+}
+
+// checkExactDecimal holds scanDecimal on tok to the expectation want, and
+// an exact value to strconv.ParseFloat bit for bit. It reports whether
+// the exact step converted tok. The structure read's scan, without the
+// long step, must convert only the tokens of at most 15 digits.
+func checkExactDecimal(t *testing.T, tok []byte, want int) bool {
+	t.Helper()
+	got, end, exact, _ := scanDecimal(tok, 0, true)
+	ok := exact && end == len(tok)
+	if _, end, short, _ := scanDecimal(tok, 0, false); (short && end == len(tok)) != (want == always) {
+		t.Fatalf("scanDecimal(%q) without the long step: exact = %v, want %v", tok, short, want == always)
+	}
+	if want == never && ok || want == always && !ok {
+		t.Fatalf("scanDecimal(%q) exact = %v, want %v", tok, ok, want == always)
+	}
+	if !ok {
+		return false
+	}
+	ref, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil || math.Float64bits(got) != math.Float64bits(ref) {
+		t.Fatalf("scanDecimal(%q) = %v (%#x), strconv %v (%#x, %v)",
+			tok, got, math.Float64bits(got), ref, math.Float64bits(ref), err)
+	}
+	return true
+}
+
+// randomDecimal returns a token of an optional sign, up to three leading
+// zeros and digits drawn from minDigits to maxDigits of them, with the
+// point anywhere or absent, and its counts of significant and fraction
+// digits.
+func randomDecimal(rng *rand.Rand, minDigits, maxDigits int) (b []byte, sig, frac int) {
+	switch rng.Intn(3) {
+	case 1:
+		b = append(b, '-')
+	case 2:
+		b = append(b, '+')
+	}
+	b = append(b, strings.Repeat("0", rng.Intn(4))...)
+	digits := minDigits + rng.Intn(maxDigits-minDigits+1)
+	dot := rng.Intn(digits + 2) // digits+1: no point
+	for d := 0; d < digits; d++ {
+		if d == dot {
 			b = append(b, '.')
 		}
-		got, ok := exactDecimal(b)
-		if want := sig <= 15 && frac <= 22; ok != want {
-			t.Fatalf("exactDecimal(%q) ok = %v, want %v (%d significant, %d fraction digits)", b, ok, want, sig, frac)
+		c := byte('0' + rng.Intn(10))
+		if sig == 0 && rng.Intn(3) == 0 {
+			c = '0'
 		}
-		if !ok {
+		if c != '0' || sig > 0 {
+			sig++
+		}
+		if dot <= d {
+			frac++
+		}
+		b = append(b, c)
+	}
+	if dot == digits {
+		b = append(b, '.')
+	}
+	return b, sig, frac
+}
+
+// TestExactDecimalMatchesStrconv holds scanDecimal's exact value step to
+// strconv.ParseFloat bit for bit on the tokens it converts, and checks
+// which tokens it converts: every token of at most 15 significant digits,
+// at most 22 fraction digits and no exponent; a token of 16 to 19 such
+// digits unless the Eisel-Lemire step declines it; nothing else.
+func TestExactDecimalMatchesStrconv(t *testing.T) {
+	for _, tc := range []struct {
+		tok  string
+		want int
+	}{
+		{"0", always}, {"-0", always}, {"+0", always}, {"-0.0", always}, {"1", always}, {"-1", always}, {"4", always},
+		{"5.", always}, {".5", always}, {"-.5", always}, {"+5.", always}, {"007", always}, {"-000.000", always},
+		{"0.1", always}, {"0.3", always}, {"-2.675", always}, {"1.5e3", never}, {"1E3", never},
+		{"123456789012345", always}, {"1234567890123456", maybe},
+		{"999999999999999", always}, {"9999999999999999", maybe},
+		{"0.000123456789012345", always}, {"0.0001234567890123456", maybe},
+		{"12345678.9012345", always}, {"12345678.90123456", maybe},
+		{"0.0000000000000000000001", always}, {"0.00000000000000000000001", never},
+		{"0.0000000123456789012345", always}, {"0.00000000123456789012345", never},
+		{"1.0000000000000000000000", never}, {"100000000000000", always},
+		{"0000000000000000000000000000001", always},
+		{"0.1234567890123456789", maybe}, {"-9999999999999999999", maybe}, {"9007199254740993", maybe},
+		{"0.2071067811865475", maybe}, {"-0.70710678118654757", maybe}, {"1.000000000000000000", maybe},
+		{"12345678901234567890", never}, {"18446744073709551615", never}, {"0.12345678901234567890", never},
+		{"", never}, {".", never}, {"-", never}, {"+", never}, {"-.", never}, {"1.2.3", never},
+		{"0x10", never}, {"1_0", never}, {"inf", never}, {"NaN", never}, {"--1", never}, {"1-", never},
+	} {
+		checkExactDecimal(t, []byte(tc.tok), tc.want)
+	}
+
+	// Tokens of 16 to 19 significant digits, the long step's form: nearly
+	// all must convert. The step declines a value that lies exactly halfway
+	// between two float64s, as every odd integer between 2^53 and 2^54
+	// does, and such values are common among these tokens.
+	rng := rand.New(rand.NewSource(9))
+	long, converted := 0, 0
+	for n := 0; n < 200000; n++ {
+		b, sig, frac := randomDecimal(rng, 16, 19)
+		if sig < 16 || frac > 22 {
 			continue
 		}
-		accepted++
-		want, err := strconv.ParseFloat(string(b), 64)
-		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("exactDecimal(%q) = %#x, strconv %#x (%v)", b, math.Float64bits(got), math.Float64bits(want), err)
+		long++
+		if checkExactDecimal(t, b, maybe) {
+			converted++
+		}
+	}
+	if converted < long*97/100 {
+		t.Fatalf("only %d of %d long tokens took the exact path", converted, long)
+	}
+
+	// Random tokens around the limits: 1 to 21 digits.
+	accepted := 0
+	for n := 0; n < 200000; n++ {
+		b, sig, frac := randomDecimal(rng, 1, 21)
+		if checkExactDecimal(t, b, exactClass(sig, frac)) {
+			accepted++
 		}
 	}
 	if accepted < 50000 {
 		t.Fatalf("only %d of the random tokens took the exact path", accepted)
+	}
+}
+
+// TestNegPowersOfTenTable derives every row of the long step's table with
+// math/big: 10^-q truncated to a 128-bit mantissa whose top bit is set.
+func TestNegPowersOfTenTable(t *testing.T) {
+	for q, row := range negPowersOfTen {
+		den := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(q)), nil)
+		m := new(big.Int).Lsh(big.NewInt(1), uint(127+den.BitLen()))
+		m.Quo(m, den)
+		if m.BitLen() > 128 {
+			m.Rsh(m, 1)
+		}
+		lo := new(big.Int).And(m, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		hi := new(big.Int).Rsh(m, 64).Uint64()
+		if row != [2]uint64{lo, hi} {
+			t.Errorf("1e-%d: table {%#x, %#x}, math/big {%#x, %#x}", q, row[0], row[1], lo, hi)
+		}
+	}
+	if len(negPowersOfTen) != len(float64pow10) {
+		t.Errorf("%d table rows for %d fraction lengths", len(negPowersOfTen), len(float64pow10))
 	}
 }
 
@@ -419,7 +490,7 @@ func TestDecimalConverts(t *testing.T) {
 		{strings.Repeat("9", 309), false}, {"1" + strings.Repeat("0", 308), false},
 		{"", false}, {".", false}, {"-", false}, {"+.", false},
 	} {
-		_, end, _, converts := scanDecimal([]byte(tc.tok), 0)
+		_, end, _, converts := scanDecimal([]byte(tc.tok), 0, false)
 		if end != len(tc.tok) || converts != tc.converts {
 			t.Errorf("scanDecimal(%q) end = %d, converts = %v, want %d, %v", tc.tok, end, converts, len(tc.tok), tc.converts)
 		}

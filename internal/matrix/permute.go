@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Permutation maps new positions to old positions: perm[new] = old. Applying
 // it to rows produces a matrix whose row new is the original row perm[new].
@@ -44,11 +41,33 @@ func (p Permutation) Inverse() Permutation {
 // count, breaking ties by ascending original index so the result is
 // deterministic. perm[new] = old. This is the building block of both Row
 // Frequency Sorting (RFS) and Column Frequency Sorting (CFS) from LAV.
+//
+// It is a stable counting sort, O(len(counts) + max count): the counts of a
+// matrix's rows or columns are bounded by its other dimension. A negative
+// count panics.
 func SortByCountsDesc(counts []int64) Permutation {
-	p := Identity(len(counts))
-	sort.SliceStable(p, func(i, j int) bool {
-		return counts[p[i]] > counts[p[j]]
-	})
+	var top int64
+	for _, c := range counts {
+		if c < 0 {
+			panic(fmt.Sprintf("matrix: SortByCountsDesc count %d is negative", c))
+		}
+		top = max(top, c)
+	}
+	// Bucket k holds count top-k; next[k] is its next free position.
+	next := make([]int, top+1)
+	for _, c := range counts {
+		next[top-c]++
+	}
+	pos := 0
+	for k, n := range next {
+		next[k], pos = pos, pos+n
+	}
+	p := make(Permutation, len(counts))
+	for i, c := range counts {
+		k := top - c
+		p[next[k]] = int32(i)
+		next[k]++
+	}
 	return p
 }
 
@@ -76,22 +95,32 @@ func (m *CSR) PermuteRows(perm Permutation) *CSR {
 }
 
 // PermuteCols returns a new matrix whose column inv[j] holds the original
-// column j, where inv is the inverse of perm (perm[new] = old). Column
-// indices are re-sorted within each row.
+// column j, where inv is the inverse of perm (perm[new] = old). It
+// transposes the matrix, then transposes it back reading the transpose's
+// rows, the original columns, in perm order: each row of the result gets
+// its new columns in ascending order, with no sort.
 func (m *CSR) PermuteCols(perm Permutation) *CSR {
 	if len(perm) != m.Cols {
 		panic(fmt.Sprintf("matrix: col permutation len %d for %d cols", len(perm), m.Cols))
 	}
-	inv := perm.Inverse()
-	out := m.Clone()
-	rs := &rowSorter{}
-	for i := 0; i < out.Rows; i++ {
-		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
-		rs.cols, rs.vals = out.ColIdx[lo:hi], out.Vals[lo:hi]
-		for k := range rs.cols {
-			rs.cols[k] = inv[rs.cols[k]]
+	t := m.Transpose()
+	out := &CSR{
+		Rows:   m.Rows,
+		Cols:   m.Cols,
+		RowPtr: append([]int64(nil), m.RowPtr...),
+		ColIdx: make([]int32, m.NNZ()),
+		Vals:   make([]float64, m.NNZ()),
+	}
+	next := append([]int64(nil), m.RowPtr[:m.Rows]...)
+	for newCol, oldCol := range perm {
+		rows, vals := t.Row(int(oldCol))
+		for k, r := range rows {
+			pos := next[r]
+			next[r]++
+			//lint:ignore numsafety newCol < len(perm), and a Permutation longer than MaxInt32 cannot exist: its own int32 elements could not index it
+			out.ColIdx[pos] = int32(newCol)
+			out.Vals[pos] = vals[k]
 		}
-		sort.Sort(rs) // a row's columns are distinct, so stability is moot
 	}
 	return out
 }

@@ -43,7 +43,7 @@ type feedback struct {
 	drift   *driftDetector
 	kick    chan struct{}
 	jobs    chan shadowJob
-	period  uint64 // shadow-sample every period-th healthy prediction
+	period  uint64 // shadow-sample every period-th stateless /predict
 	seen    atomic.Uint64
 	measure measureFunc
 

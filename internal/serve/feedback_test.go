@@ -204,9 +204,47 @@ func TestShadowPanicQuarantined(t *testing.T) {
 	}
 }
 
+// TestShadowSamplesBeforeRead pins the shadow sample to the read: at a
+// period of p, the sample is drawn before the body is read, one stateless
+// /predict in p is sampled, the first included, and exactly those are read
+// with their values and offered to the measurer.
+func TestShadowSamplesBeforeRead(t *testing.T) {
+	const p = 4
+	f := &feedback{period: p}
+	for n := 0; n < 3*p; n++ {
+		if got := f.sample(); got != (n%p == 0) {
+			t.Fatalf("request %d: sampled %v, want %v", n, got, n%p == 0)
+		}
+	}
+
+	var offered, withValues atomic.Int32
+	measure := func(job shadowJob, _ time.Time) (float64, float64, error) {
+		offered.Add(1)
+		if job.m.Vals != nil {
+			withValues.Add(1)
+		}
+		return 1, 1, nil
+	}
+	_, ts := startFeedbackServer(t, Config{ModelPath: sharedModelPath, ReloadPoll: -1, ShadowRate: 1.0 / p, ShadowMeasure: measure})
+	body := mmBytes(t, testMatrix(t))
+	for n := 0; n < 3*p; n++ {
+		if status, _, _ := postPredict(t, ts.URL, body); status != 200 {
+			t.Fatalf("/predict status = %d", status)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for offered.Load() < 3 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a wrongly offered fourth
+	if o, v := offered.Load(), withValues.Load(); o != 3 || v != 3 {
+		t.Fatalf("%d requests at period %d: %d offered, %d with values; want 3 and 3", 3*p, p, o, v)
+	}
+}
+
 // TestShadowMeasuresRealKernels drives /predict with the production
 // measurer: the shadow lane multiplies with the parsed matrix, so a server
-// with the loop on must read the values of every body. The quarantine
+// with the loop on must read the values of every sampled body. The quarantine
 // would count a multiply over a value-free matrix as a panic and let the
 // request pass, so the test asserts on the counters: measurements rise,
 // panics do not.

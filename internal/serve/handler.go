@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -91,24 +90,30 @@ func (s *Server) endpoint(counter *obs.Counter, h func(context.Context, http.Res
 
 // handlePredict answers a named fingerprint from its session; any other
 // request is one stateless inspection, parsed straight off the capped body
-// reader — nothing buffered, inserted or converted. Without the shadow
-// loop nothing multiplies with the matrix, so the body is read for its
-// sparsity pattern alone (matrix.ReadStructure): the values are checked
-// but not kept.
+// reader — nothing buffered, inserted or converted. Nothing multiplies with
+// the matrix unless the shadow loop samples the request, so every other
+// body is read for its sparsity pattern alone (matrix.ReadStructure): the
+// values are checked but not kept. The sample is drawn before the read.
 func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	if fp := fingerprintOf(r); fp != "" {
 		s.answerPredictSession(w, fp, start)
 		return
 	}
 	lm := s.models.current()
-	in, err := s.inspect(ctx, lm, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.feedback != nil)
+	sampled := s.feedback != nil && s.feedback.sample()
+	read := matrix.ReadStructure
+	if sampled {
+		read = matrix.ReadMatrixMarketLimited
+	}
+	m, err := read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.readLimits())
 	if err != nil {
 		rejectBody(w, err)
 		return
 	}
-	if in.reason == "" && s.feedback != nil {
-		// Off-path shadow measurement of a sampled fraction of healthy
-		// predictions; never blocks or fails the request.
+	in := s.inspect(ctx, lm, m)
+	if sampled && in.reason == "" {
+		// Off-path shadow measurement of a healthy prediction; never
+		// blocks or fails the request.
 		s.feedback.offer(in, lm)
 	}
 	writeJSON(w, http.StatusOK, selectionResponse(in.sel, in.reason, "", in.m, start))
@@ -147,10 +152,9 @@ func (s *Server) acquireSession(w http.ResponseWriter, fp string) (*session.Entr
 	return ent, ok
 }
 
-// inspection is one inspector pass over a request body. reason is empty
-// when the predictor ran; otherwise sel is the serving generation's
-// fallback and reason says why. m.Vals is nil unless inspect was asked
-// for the values.
+// inspection is one predictor pass over a parsed request matrix. reason is
+// empty when the predictor ran; otherwise sel is the serving generation's
+// fallback and reason says why.
 type inspection struct {
 	m      *matrix.CSR
 	feat   features.Features
@@ -158,37 +162,39 @@ type inspection struct {
 	reason string
 }
 
-// inspect is the inspector path of every endpoint: parse under the default
-// read limits (the only error), with the values or for the structure
-// alone, then the breaker-guarded extract + infer. A predictor the breaker
-// keeps out, that fails, or that overruns ctx degrades the selection to
-// the fallback; the outcome feeds the breaker.
-func (s *Server) inspect(ctx context.Context, lm *loadedModel, body io.Reader, values bool) (inspection, error) {
-	read := matrix.ReadStructure
-	if values {
-		read = matrix.ReadMatrixMarketLimited
-	}
-	m, err := read(body, matrix.DefaultReadLimits())
-	if err != nil {
-		return inspection{}, err
-	}
+// readLimits bounds the sizes a request body may declare: at most one row
+// and one column per byte of the largest body the server accepts, so no
+// header makes the server allocate more than a fixed multiple of that body.
+// A body past them is answered 400.
+func (s *Server) readLimits() matrix.ReadLimits {
+	lim := matrix.DefaultReadLimits()
+	lim.MaxRows = int(min(s.cfg.MaxBodyBytes, int64(lim.MaxRows)))
+	lim.MaxCols = lim.MaxRows
+	return lim
+}
+
+// inspect is the predictor step of every endpoint, run on a parsed body:
+// the breaker-guarded extract + infer. A predictor the breaker keeps out,
+// that fails, or that overruns ctx degrades the selection to the fallback;
+// the outcome feeds the breaker.
+func (s *Server) inspect(ctx context.Context, lm *loadedModel, m *matrix.CSR) inspection {
 	in := inspection{m: m}
 	usePredictor, probe := s.breaker.allow()
 	if !usePredictor {
 		in.sel, in.reason = lm.fallbackSelection(), reasonBreakerOpen
-		return in, nil
+		return in
 	}
-	in.feat, err = extract(ctx, lm, m)
+	feat, err := extract(ctx, lm, m)
 	s.breaker.report(err == nil, probe)
 	if err == nil {
-		in.sel = lm.w.SelectFromFeatures(in.feat)
-		return in, nil
+		in.feat, in.sel = feat, lm.w.SelectFromFeatures(feat)
+		return in
 	}
 	in.sel, in.reason = lm.fallbackSelection(), reasonPredictError
 	if ctx.Err() != nil {
 		in.reason = reasonDeadline
 	}
-	return in, nil
+	return in
 }
 
 // extract runs the ctx-aware feature extraction with the two predictor

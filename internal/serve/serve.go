@@ -1,8 +1,9 @@
 // Package serve is the long-running inference surface of the WISE
 // reproduction: an HTTP/JSON server around one request pipeline. Every POST
-// endpoint runs inside one wrapper (endpoint) and reaches the model through
-// one inspector path (inspect: parse -> Table-2 features -> tree inference),
-// and every layer of it is failure-isolated (RESILIENCE.md "Serving"):
+// endpoint runs inside one wrapper (endpoint), parses its body under read
+// limits derived from the body cap, and reaches the model through one
+// predictor step (inspect: Table-2 features -> tree inference), and every
+// layer of it is failure-isolated (RESILIENCE.md "Serving"):
 //
 //   - admission control bounds in-flight requests and sheds overload with
 //     429 + Retry-After instead of queueing without bound;
@@ -25,10 +26,11 @@
 //
 // Stateless POST /predict is an inspection alone. The stateful layer
 // (internal/session, RESILIENCE.md "Stateful serving") builds on the same
-// path: POST /matrix caches an inspection plus its converted kernel under
-// the body's sha256 fingerprint, and POST /predict and POST /spmv accept
-// that fingerprint instead of a body. A saturated session store answers
-// from the same build without caching it ("degraded": true).
+// path: POST /matrix streams its body through a sha256 while parsing it,
+// caches an inspection plus its converted kernel under that fingerprint,
+// and POST /predict and POST /spmv accept that fingerprint instead of a
+// body. A saturated session store answers from the same build without
+// caching it ("degraded": true).
 //
 // /healthz, /readyz, and /metricz expose liveness, readiness, and an obs
 // snapshot to orchestration.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -185,6 +187,23 @@ func TestPredictBodyCap(t *testing.T) {
 	}
 }
 
+// TestBadLineBeforeBodyCap pins the order of the two body refusals: a body
+// with a bad line before MaxBodyBytes that also runs past the cap is
+// answered 400 for the bad line, by /predict and by the streamed /matrix
+// read alike, since the parse meets the line before the read meets the cap.
+func TestBadLineBeforeBodyCap(t *testing.T) {
+	entries := mmBytes(t, testMatrix(t))
+	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = int64(len(entries)) })
+	header, rest, _ := bytes.Cut(entries, []byte("\n"))
+	body := append(append(append(header, "\n1 1 zebra\n"...), rest...), bytes.Repeat([]byte("1 1 1\n"), 4096)...)
+	for _, path := range []string{"/predict", "/matrix"} {
+		if status, data := rawPost(t, ts.URL, path, body, strconv.Itoa(len(body))); status != http.StatusBadRequest ||
+			!strings.Contains(string(data), "zebra") {
+			t.Errorf("%s: bad line before the cap, body past it: %d %s, want 400 naming the line", path, status, data)
+		}
+	}
+}
+
 // TestPredictIgnoresTailPastBodyCap pins the reader's rule that nothing
 // after the declared entries counts, read errors included: a body whose
 // entries are complete but whose trailing junk runs past MaxBodyBytes still
@@ -226,6 +245,41 @@ func TestPredictBadLineInFinalBlock(t *testing.T) {
 	const want = `matrix: bad value "zebra": strconv.ParseFloat: parsing "zebra": invalid syntax`
 	if resp.StatusCode != http.StatusBadRequest || er.Error != want {
 		t.Errorf("bad final line: %d %q, want 400 %q", resp.StatusCode, er.Error, want)
+	}
+}
+
+// TestDeclaredSizeBoundedByBodyCap pins the read limits the server derives
+// from MaxBodyBytes, one declared row or column per body byte: a tiny
+// header declaring 2^31-1 rows and columns is refused 400 by all three
+// body endpoints, before it can allocate for them, and a header exactly at
+// the limit is accepted.
+func TestDeclaredSizeBoundedByBodyCap(t *testing.T) {
+	const capBytes = 4096
+	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = capBytes })
+	body := func(rows, cols int) string {
+		return fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n%d %d 0\n", rows, cols)
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{body(math.MaxInt32, math.MaxInt32), http.StatusBadRequest},
+		{body(capBytes+1, capBytes), http.StatusBadRequest},
+		{body(capBytes, capBytes+1), http.StatusBadRequest},
+		{body(capBytes, capBytes), http.StatusOK},
+	} {
+		inline, err := json.Marshal(spmvRequest{Matrix: tc.body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []struct {
+			path string
+			body []byte
+		}{{"/predict", []byte(tc.body)}, {"/matrix", []byte(tc.body)}, {"/spmv", inline}} {
+			if status, data := rawPost(t, ts.URL, req.path, req.body, strconv.Itoa(len(req.body))); status != tc.status {
+				t.Errorf("%s %q: %d %s, want %d", req.path, tc.body, status, data, tc.status)
+			}
+		}
 	}
 }
 

@@ -128,6 +128,66 @@ func TestMatrixFingerprintWorkflow(t *testing.T) {
 	}
 }
 
+// TestStreamedUploadFingerprint pins the streamed, hashed /matrix read to
+// the fingerprint of the exact body bytes, for bodies whose bytes the parse
+// does not all use: comment lines, CRLF line ends, junk after the declared
+// entries, no final newline. The inline /spmv matrix takes the same path.
+// A cached re-upload answers cached with the same selection, and
+// concurrent uploads of one new body build once.
+func TestStreamedUploadFingerprint(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		c.MaxInFlight = 16
+		c.QueueWait = 2 * time.Second
+		c.RequestTimeout = 10 * time.Second
+	})
+	entries := string(mmBytes(t, testMatrix(t)))
+	header, rest, _ := strings.Cut(entries, "\n")
+	for _, tc := range []struct{ name, body string }{
+		{"comments", header + "\n% a comment\n%\n" + rest + "% trailing comment\n"},
+		{"crlf", strings.ReplaceAll(entries, "\n", "\r\n")},
+		{"junk after the entries", entries + strings.Repeat("junk past the declared entries\n", 3000)},
+		{"no final newline", strings.TrimSuffix(entries, "\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := session.Fingerprint([]byte(tc.body))
+			status, mr := postMatrix(t, ts.URL, []byte(tc.body))
+			if status != http.StatusOK || mr.Fingerprint != want || mr.Cached {
+				t.Fatalf("/matrix: status %d, fingerprint %s, cached %v; want 200, %s, false", status, mr.Fingerprint, mr.Cached, want)
+			}
+			status, again := postMatrix(t, ts.URL, []byte(tc.body))
+			if status != http.StatusOK || !again.Cached || again.Fingerprint != want ||
+				again.Method != mr.Method || again.Index != mr.Index || again.NNZ != mr.NNZ {
+				t.Fatalf("cached re-upload: status %d, %+v; first upload %+v", status, again, mr)
+			}
+			// An inline matrix not yet uploaded: a comment after the
+			// header makes it a body of its own.
+			inline := strings.Replace(tc.body, "\n", "\n% inline\n", 1)
+			status, sr, data := postSpMV(t, ts.URL, spmvRequest{Matrix: inline})
+			if status != http.StatusOK || sr.Fingerprint != session.Fingerprint([]byte(inline)) || sr.Warm {
+				t.Fatalf("inline /spmv: status %d, %s", status, data)
+			}
+		})
+	}
+
+	// Concurrent uploads of one new body run one build.
+	body := []byte(entries + "% concurrent\n")
+	before := s.Sessions().Stats().Builds
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, mr := postMatrix(t, ts.URL, body); status != http.StatusOK || mr.Fingerprint != session.Fingerprint(body) {
+				t.Errorf("concurrent upload: status %d, %+v", status, mr)
+			}
+		}()
+	}
+	wg.Wait()
+	if builds := s.Sessions().Stats().Builds - before; builds != 1 {
+		t.Errorf("8 concurrent uploads of one body ran %d builds, want 1", builds)
+	}
+}
+
 // TestSpMVWarmColdCorrectness is the execution half of the amortization
 // proof: a cold inline /spmv pays the inspector once, every subsequent call
 // (inline or by fingerprint) is warm, skips parse+extract+convert entirely

@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"wise/internal/core"
@@ -22,9 +26,17 @@ import (
 // addressed by fingerprint. A saturated session store or a degraded
 // inspection answers both from a request-local build that is never cached,
 // marked "degraded": true — never a refusal.
+//
+// An upload is read once, as a stream: the parse reads the body through
+// the sha256 that becomes its fingerprint, the rest of the body is hashed
+// after the declared entries, and only then is the store asked for the
+// fingerprint. Nothing buffers the body. So a body with a bad line before
+// MaxBodyBytes is answered 400 even when it also runs past the cap; a body
+// that parses but runs past the cap is answered 413. A re-upload of a
+// cached body costs its parse and hash, but no extraction or conversion.
 
-// errBadMatrix classifies a session build failure as the client's fault
-// (unparseable or over-limit matrix), mapping to 400 instead of 500.
+// errBadMatrix classifies a body that could not be read or parsed as the
+// client's fault, mapping to 400 (or 413 past the body cap) instead of 500.
 var errBadMatrix = errors.New("serve: bad matrix body")
 
 // reasonSessionSaturated marks answers produced by a request-local build
@@ -89,26 +101,34 @@ type prepared struct {
 	reason string            // degradation reason of the request-local build
 }
 
-// prepare resolves a body to its session: a cache hit, or a singleflight-
-// deduplicated build (inspection + format conversion) inserted into the
-// store. A saturated store or degraded inspection keeps the build
-// request-local. Parse failures wrap errBadMatrix: 400, not 500.
-func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (prepared, error) {
-	pr := prepared{fp: session.Fingerprint(body)}
+// prepare resolves a body to its session. It reads the body once: the
+// parse reads it through a sha256, and the tail past the declared entries,
+// up to the body cap, is hashed after it, so the fingerprint covers every
+// byte of the body. Then it takes a cache hit, or a singleflight-
+// deduplicated build (the predictor step + format conversion of the parsed
+// matrix) inserted into the store; a saturated store or degraded
+// inspection keeps the build request-local. A body that does not parse, or
+// runs past the cap, wraps errBadMatrix: 400 or 413, not 500.
+func (s *Server) prepare(ctx context.Context, lm *loadedModel, body io.Reader) (prepared, error) {
+	h := sha256.New()
+	m, err := matrix.ReadMatrixMarketLimited(io.TeeReader(body, h), s.readLimits())
+	if err == nil {
+		_, err = io.Copy(h, body)
+	}
+	if err != nil {
+		return prepared{}, fmt.Errorf("%w: %w", errBadMatrix, err)
+	}
+	pr := prepared{fp: hex.EncodeToString(h.Sum(nil))}
 	build := func(ctx context.Context) (*session.Prepared, error) {
-		in, err := s.inspect(ctx, lm, bytes.NewReader(body), true)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errBadMatrix, err)
-		}
+		in := s.inspect(ctx, lm, m)
 		pr.reason = in.reason
-		pr.local = &session.Prepared{M: in.m, Feat: in.feat, Sel: in.sel, GenID: lm.genID,
-			Format: kernels.Build(in.m, in.sel.Method, lm.w.Mach.RowBlock)}
+		pr.local = &session.Prepared{M: m, Feat: in.feat, Sel: in.sel, GenID: lm.genID,
+			Format: kernels.Build(m, in.sel.Method, lm.w.Mach.RowBlock)}
 		if in.reason != "" {
 			return nil, errUncached
 		}
 		return pr.local, nil
 	}
-	var err error
 	pr.ent, pr.hit, err = s.sessions.GetOrCreate(ctx, pr.fp, build)
 	switch {
 	case err == nil:
@@ -152,9 +172,10 @@ func buildFailed(ctx context.Context, w http.ResponseWriter, err error, onDeadli
 	}
 }
 
-// readBody drains the capped request body; on failure it answers the
-// request and reports false. A body whose Content-Length is within the cap
-// is read into a buffer sized for it up front, not grown by copying.
+// readBody drains the capped request body of a /spmv call; on failure it
+// answers the request and reports false. A body whose Content-Length is
+// within the cap is read into a buffer sized for it up front, not grown by
+// copying.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	var body bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
@@ -172,12 +193,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 // handleMatrix ingests a matrix into the session store and always answers
 // with the fingerprint; a blown deadline degrades to the fallback.
 func (s *Server) handleMatrix(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
 	lm := s.models.current()
-	pr, err := s.prepare(ctx, lm, body)
+	pr, err := s.prepare(ctx, lm, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		buildFailed(ctx, w, err, func() {
 			writeJSON(w, http.StatusOK, matrixResponse{
@@ -231,7 +248,7 @@ func (s *Server) handleSpMV(ctx context.Context, w http.ResponseWriter, r *http.
 		}
 	} else {
 		var err error
-		if pr, err = s.prepare(ctx, lm, []byte(req.Matrix)); err != nil {
+		if pr, err = s.prepare(ctx, lm, strings.NewReader(req.Matrix)); err != nil {
 			// The execution itself cannot be faked by a fallback answer.
 			buildFailed(ctx, w, err, func() {
 				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})

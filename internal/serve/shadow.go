@@ -41,15 +41,19 @@ const (
 	shadowMaxNNZ = 2_000_000       // larger matrices are skipped
 )
 
-// offer queues every period-th healthy prediction for the shadow workers,
-// off the request path; a full queue drops the sample (shadow_dropped).
-// Counter-based sampling, not a coin flip, keeps the feedback-loop tests
-// reproducible and spreads load evenly.
+// sample draws whether a stateless /predict is shadow-measured: every
+// period-th request is, the first one included. It is drawn before the
+// body is read, so only a sampled request reads the values a measurement
+// multiplies with. Counter-based sampling, not a coin flip, keeps the
+// feedback-loop tests reproducible and spreads load evenly.
+func (f *feedback) sample() bool {
+	return (f.seen.Add(1)-1)%f.period == 0
+}
+
+// offer queues a sampled healthy prediction, read with its values, for the
+// shadow workers, off the request path; a full queue drops it
+// (shadow_dropped).
 func (f *feedback) offer(in inspection, lm *loadedModel) {
-	n := f.seen.Add(1)
-	if (n-1)%f.period != 0 {
-		return
-	}
 	if in.m.NNZ() > shadowMaxNNZ {
 		shadowSkipped.Inc()
 		return

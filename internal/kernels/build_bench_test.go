@@ -20,25 +20,7 @@ var buildSink Format
 // the same matrix, the unit the paper gives preprocessing in.
 func BenchmarkBuild(b *testing.B) {
 	for _, scale := range []int{13, 15} {
-		rows := 1 << scale
-		for _, fam := range []struct {
-			name string
-			m    func(*rand.Rand) *matrix.CSR
-		}{
-			{"rmat_d16", func(rng *rand.Rand) *matrix.CSR {
-				m := gen.RMATRows(rng, rows, 16, gen.MedSkew)
-				return gen.CapRowDegree(rng, m, max(32, m.NNZ()/500))
-			}},
-			{"rgg_d16", func(rng *rand.Rand) *matrix.CSR { return gen.RGG(rng, rows, 16) }},
-			{"banded_15", func(rng *rand.Rand) *matrix.CSR {
-				return gen.Banded(rng, rows, []int{-7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7})
-			}},
-			{"stencil9", func(*rand.Rand) *matrix.CSR {
-				g := 1 << (scale / 2)
-				return gen.Stencil2D(g, rows/g, true)
-			}},
-			{"powerlaw_256", func(rng *rand.Rand) *matrix.CSR { return gen.PowerLawRows(rng, rows, 2.1, 256) }},
-		} {
+		for _, fam := range warmFamilies(scale) {
 			m := fam.m(rand.New(rand.NewSource(1)))
 			spmv := serialCSRSpMV(m)
 			for _, method := range methodsUnderTest() {
@@ -54,6 +36,33 @@ func BenchmarkBuild(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// benchFamily is one generator family of the benchmarks' matrix pool.
+type benchFamily struct {
+	name string
+	m    func(*rand.Rand) *matrix.CSR
+}
+
+// warmFamilies returns the internal/gen families of the serving
+// benchmark's warm-spmv pool at 2^scale rows.
+func warmFamilies(scale int) []benchFamily {
+	rows := 1 << scale
+	return []benchFamily{
+		{"rmat_d16", func(rng *rand.Rand) *matrix.CSR {
+			m := gen.RMATRows(rng, rows, 16, gen.MedSkew)
+			return gen.CapRowDegree(rng, m, max(32, m.NNZ()/500))
+		}},
+		{"rgg_d16", func(rng *rand.Rand) *matrix.CSR { return gen.RGG(rng, rows, 16) }},
+		{"banded_15", func(rng *rand.Rand) *matrix.CSR {
+			return gen.Banded(rng, rows, []int{-7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7})
+		}},
+		{"stencil9", func(*rand.Rand) *matrix.CSR {
+			g := 1 << (scale / 2)
+			return gen.Stencil2D(g, rows/g, true)
+		}},
+		{"powerlaw_256", func(rng *rand.Rand) *matrix.CSR { return gen.PowerLawRows(rng, rows, 2.1, 256) }},
 	}
 }
 

@@ -34,30 +34,30 @@ func (f *CSRFormat) SpMV(y, x []float64) { f.SpMVParallel(y, x, 1) }
 // round-robin. For StCont, the row range is divided into one contiguous span
 // per worker, regardless of RowBlock (the paper's "divides the rows by the
 // number of threads").
-func (f *CSRFormat) SpMVParallel(y, x []float64, workers int) {
+func (f *CSRFormat) SpMVParallel(y, x []float64, workers int) { spmvParallel(f, y, x, workers) }
+
+func (f *CSRFormat) spmvOn(t *team, y, x []float64) {
 	defer observeSpMV(time.Now())
 	m := f.M
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("kernels: SpMV dims y[%d]=A[%dx%d]*x[%d]", len(y), m.Rows, m.Cols, len(x)))
 	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 {
-		// Closure-free serial path: passing a closure through parallelUnits
-		// heap-allocates it (the goroutine branches make it escape), which
-		// would break the steady-state zero-allocation guarantee.
+	if t == nil {
+		// Closure-free serial path: a closure handed to the team is stored
+		// where its helpers read it, so it is heap-allocated, which would
+		// break the steady-state zero-allocation guarantee.
 		f.rowSpan(y, x, 0, m.Rows)
 		return
 	}
 	if f.Sched == StCont {
-		parallelUnits(workers, workers, StCont, func(w int) {
+		workers := t.size
+		t.run(workers, StCont, func(w int) {
 			f.rowSpan(y, x, w*m.Rows/workers, (w+1)*m.Rows/workers)
 		})
 		return
 	}
 	blocks := (m.Rows + f.RowBlock - 1) / f.RowBlock
-	parallelUnits(workers, blocks, f.Sched, func(b int) {
+	t.run(blocks, f.Sched, func(b int) {
 		lo := b * f.RowBlock
 		hi := lo + f.RowBlock
 		if hi > m.Rows {
@@ -67,7 +67,9 @@ func (f *CSRFormat) SpMVParallel(y, x []float64, workers int) {
 	})
 }
 
-// rowSpan computes y[i] = A[i,:]*x for rows [lo, hi).
+// rowSpan computes y[i] = A[i,:]*x for rows [lo, hi). The row's column and
+// value spans are resliced into locals, so the inner loop reads no field of
+// the matrix; each row is still summed from its first nonzero to its last.
 func (f *CSRFormat) rowSpan(y, x []float64, lo, hi int) {
 	m := f.M
 	// ColIdx values come from parsed matrix files; re-assert the x bound
@@ -75,11 +77,13 @@ func (f *CSRFormat) rowSpan(y, x []float64, lo, hi int) {
 	if len(x) < m.Cols {
 		panic(fmt.Sprintf("kernels: x[%d] shorter than matrix columns %d", len(x), m.Cols))
 	}
+	rowPtr, colIdx, vals := m.RowPtr, m.ColIdx, m.Vals
 	for i := lo; i < hi; i++ {
-		rp, rq := m.RowPtr[i], m.RowPtr[i+1]
+		rp, rq := rowPtr[i], rowPtr[i+1]
+		cols, vs := colIdx[rp:rq], vals[rp:rq]
 		var acc float64
-		for k := rp; k < rq; k++ {
-			acc += m.Vals[k] * x[m.ColIdx[k]]
+		for k := 0; k < len(vs); k++ {
+			acc += vs[k] * x[cols[k]]
 		}
 		y[i] = acc
 	}

@@ -23,17 +23,25 @@ func CFS(m *matrix.CSR) matrix.Permutation {
 //
 // It makes two stable counting-sort passes over the positions: by
 // descending count, then by window. The second keeps the first's order
-// within each window, so ties stay in position order.
+// within each window, so ties stay in position order. When one window
+// covers every position the second pass would leave the order as it is,
+// so the count order is read through base directly.
 func WindowSortRows(base matrix.Permutation, counts []int64, sigma int) matrix.Permutation {
-	out := append(matrix.Permutation(nil), base...)
 	if sigma <= 1 {
-		return out
+		return append(matrix.Permutation(nil), base...)
 	}
 	keys := make([]int64, len(base))
 	for pos, row := range base {
 		keys[pos] = counts[row]
 	}
 	byCount := matrix.SortByCountsDesc(keys)
+	if sigma >= len(base) {
+		for i, pos := range byCount {
+			byCount[i] = base[pos]
+		}
+		return byCount
+	}
+	out := make(matrix.Permutation, len(base))
 	// next[w] is the next free position of window w.
 	next := make([]int, (len(base)+sigma-1)/sigma)
 	for w := range next {

@@ -102,7 +102,9 @@ func (f *SegCSR) SpMV(y, x []float64) { f.SpMVParallel(y, x, 1) }
 // SpMVParallel computes y = A*x, processing column segments one after
 // another (the cache-blocking discipline) and parallelizing over row blocks
 // within each segment.
-func (f *SegCSR) SpMVParallel(y, x []float64, workers int) {
+func (f *SegCSR) SpMVParallel(y, x []float64, workers int) { spmvParallel(f, y, x, workers) }
+
+func (f *SegCSR) spmvOn(t *team, y, x []float64) {
 	defer observeSpMV(time.Now())
 	if len(x) != f.Cols || len(y) != f.Rows {
 		panic(fmt.Sprintf("kernels: SpMV dims y[%d]=A[%dx%d]*x[%d]", len(y), f.Rows, f.Cols, len(x)))
@@ -110,10 +112,10 @@ func (f *SegCSR) SpMVParallel(y, x []float64, workers int) {
 	for i := range y {
 		y[i] = 0
 	}
-	if workers == 1 {
-		// Closure-free serial path: passing a closure through parallelUnits
-		// heap-allocates it (the goroutine branches make it escape), which
-		// would break the steady-state zero-allocation guarantee.
+	if t == nil {
+		// Closure-free serial path: a closure handed to the team is stored
+		// where its helpers read it, so it is heap-allocated, which would
+		// break the steady-state zero-allocation guarantee.
 		for si := range f.Segs {
 			f.Segs[si].addRows(y, x, 0, f.Rows)
 		}
@@ -121,8 +123,8 @@ func (f *SegCSR) SpMVParallel(y, x []float64, workers int) {
 	}
 	blocks := (f.Rows + f.RowBlock - 1) / f.RowBlock
 	// One closure serves every segment: it reads the segment through a
-	// variable reassigned per iteration (parallelUnits is a barrier, so the
-	// reassignment never races with the workers).
+	// variable reassigned per iteration (run returns only when every worker
+	// is done, so the reassignment never races with them).
 	var seg *SegCSRSegment
 	body := func(b int) {
 		lo := b * f.RowBlock
@@ -134,11 +136,12 @@ func (f *SegCSR) SpMVParallel(y, x []float64, workers int) {
 	}
 	for si := range f.Segs {
 		seg = &f.Segs[si]
-		parallelUnits(workers, blocks, f.Sched, body)
+		t.run(blocks, f.Sched, body)
 	}
 }
 
-// addRows accumulates y[lo:hi] += A_seg * x for one column segment.
+// addRows accumulates y[lo:hi] += A_seg * x for one column segment, with
+// the row's column and value spans resliced into locals as in rowSpan.
 func (s *SegCSRSegment) addRows(y, x []float64, lo, hi int) {
 	// ColIdx values lie in [ColLo, ColHi) by construction, but they originate
 	// in parsed matrix files; assert the segment's column range fits x before
@@ -146,10 +149,13 @@ func (s *SegCSRSegment) addRows(y, x []float64, lo, hi int) {
 	if int(s.ColHi) > len(x) {
 		panic(fmt.Sprintf("kernels: segment columns [%d,%d) out of range for x[%d]", s.ColLo, s.ColHi, len(x)))
 	}
+	rowPtr, colIdx, vals := s.RowPtr, s.ColIdx, s.Vals
 	for i := lo; i < hi; i++ {
+		rp, rq := rowPtr[i], rowPtr[i+1]
+		cols, vs := colIdx[rp:rq], vals[rp:rq]
 		var acc float64
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			acc += s.Vals[k] * x[s.ColIdx[k]]
+		for k := 0; k < len(vs); k++ {
+			acc += vs[k] * x[cols[k]]
 		}
 		y[i] += acc
 	}

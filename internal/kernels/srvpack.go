@@ -168,7 +168,7 @@ func buildSegment(work *matrix.CSR, method Method, cLo, cHi int32) Segment {
 	totalWidth := off[nChunks]
 
 	seg := Segment{
-		RowOrder: append([]int32(nil), order...),
+		RowOrder: order, // every case above built order afresh
 		ChunkOff: off,
 		Vals:     make([]float64, totalWidth*int64(c)),
 		ColIdx:   make([]int32, totalWidth*int64(c)),
@@ -215,7 +215,9 @@ func (p *SRVPack) SpMV(y, x []float64) { p.SpMVParallel(y, x, 1) }
 // A single-segment pack writes every row exactly once, so y is assigned;
 // LAV's two segments zero y and accumulate. Either way a row's sum is formed
 // in the same order from a +0 start, so both give the same bits.
-func (p *SRVPack) SpMVParallel(y, x []float64, workers int) {
+func (p *SRVPack) SpMVParallel(y, x []float64, workers int) { spmvParallel(p, y, x, workers) }
+
+func (p *SRVPack) spmvOn(t *team, y, x []float64) {
 	defer observeSpMV(time.Now())
 	if len(x) != p.Cols || len(y) != p.Rows {
 		panic(fmt.Sprintf("kernels: SpMV dims y[%d]=A[%dx%d]*x[%d]", len(y), p.Rows, p.Cols, len(x)))
@@ -231,10 +233,10 @@ func (p *SRVPack) SpMVParallel(y, x []float64, workers int) {
 			y[i] = 0
 		}
 	}
-	if workers == 1 {
-		// Closure-free serial path: passing a closure through parallelUnits
-		// heap-allocates it (the goroutine branches make it escape), which
-		// would break the steady-state zero-allocation guarantee.
+	if t == nil {
+		// Closure-free serial path: a closure handed to the team is stored
+		// where its helpers read it, so it is heap-allocated, which would
+		// break the steady-state zero-allocation guarantee.
 		for si := range p.Segments {
 			p.Segments[si].spanSpMV(p.C, 0, p.Segments[si].Chunks(), y, xs, add)
 		}
@@ -242,8 +244,8 @@ func (p *SRVPack) SpMVParallel(y, x []float64, workers int) {
 	}
 	block := (p.rowBlock + p.C - 1) / p.C
 	// One closure serves every segment: it reads the segment through a
-	// variable reassigned per iteration (parallelUnits is a barrier, so the
-	// reassignment never races with the workers).
+	// variable reassigned per iteration (run returns only when every worker
+	// is done, so the reassignment never races with them).
 	var seg *Segment
 	body := func(b int) {
 		lo := b * block
@@ -255,7 +257,7 @@ func (p *SRVPack) SpMVParallel(y, x []float64, workers int) {
 	}
 	for si := range p.Segments {
 		seg = &p.Segments[si]
-		parallelUnits(workers, (seg.Chunks()+block-1)/block, p.Method.Sched, body)
+		t.run((seg.Chunks()+block-1)/block, p.Method.Sched, body)
 	}
 }
 

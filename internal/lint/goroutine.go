@@ -6,7 +6,7 @@ import (
 )
 
 // GoroutineSafetyAnalyzer checks the worker-pool patterns the parallel
-// paths (kernels.parallelUnits, ml's fold pool, perf's labeling pool) are
+// paths (the kernels' worker team, ml's fold pool, perf's labeling pool) are
 // built on. Loop-variable capture is not checked: the module declares
 // go 1.22, where every iteration has its own loop variables.
 //

@@ -477,7 +477,7 @@ func (s *Store) Exec(ctx context.Context, e *Entry, x []float64, iters, workers 
 	if err := faultinject.Hit("session.exec.panic"); err != nil {
 		panic(fmt.Sprintf("session: exec: %v", err))
 	}
-	//lint:ignore waitblock execMu serializes kernel runs by design (a pack's gather scratch is per-pack state); the only wait inside is the kernels' fork-join barrier, whose workers never take execMu
+	//lint:ignore waitblock execMu serializes kernel runs by design (a pack's gather scratch is per-pack state); the only waits inside are the kernels' team joins, whose helpers never take execMu
 	y, err := kernels.Iterate(ctx, s.ensureFormat(e), e.m.Rows, x, iters, workers)
 	if err != nil {
 		return nil, fmt.Errorf("session: exec: %w", err)

@@ -24,9 +24,10 @@ go build ./...
 go test -race ./...
 # At GOMAXPROCS=1 the MatrixMarket reader parses its blocks and the feature
 # extractor runs its walks inline, the path 1-CPU hosts take and multi-core
-# runners otherwise never do. -count=1: the test cache does not key on
-# GOMAXPROCS.
-GOMAXPROCS=1 go test -count=1 ./internal/matrix ./internal/features ./internal/serve
+# runners otherwise never do; the kernels' worker teams, which tests size
+# explicitly, then share one processor, so a spinning worker must yield.
+# -count=1: the test cache does not key on GOMAXPROCS.
+GOMAXPROCS=1 go test -count=1 ./internal/matrix ./internal/features ./internal/serve ./internal/kernels
 
 # Benchmark smoke: the S preset must run to completion and produce a valid
 # BENCH file. The result is discarded unless -bench-gate asked for the

@@ -6,31 +6,22 @@
 //
 // Usage:
 //
-//	wise-lint [-json file] [-sarif file] [-fix] [-analyzers a,b] [-budget d] [-cache dir] [-jobs n] [packages ...]
+//	wise-lint [-json file] [-sarif file] [-fix] [-analyzers a,b] [-budget d] [packages ...]
 //
 // Package patterns are directory-based: "./..." (or no arguments) lints the
 // whole module; "./internal/ml" or "./internal/..." restricts the report to
 // the matching packages. A pattern that names no directory is a usage error.
-// The whole module is always loaded and type-checked so cross-package
-// analysis stays sound.
+// The whole module is always loaded and type-checked (in parallel, one
+// type-check worker per GOMAXPROCS) so cross-package analysis stays sound.
 //
 // -sarif writes the findings as a SARIF 2.1.0 log for CI code-scanning
 // upload. -fix applies the suggested fixes (capacity hints, context
-// threading, defer-hoisted unlocks), rewriting only files in which every
-// finding has a fix. -analyzers runs a comma-separated subset of the suite;
-// an unknown name is a usage error (exit 2) so a typo cannot pass CI
-// vacuously. -budget fails the run (exit 1) when linting takes longer than
-// the given duration; the measured wall-clock time and the budget are
-// recorded in the SARIF run properties either way, and a blown budget still
-// emits the partial report gathered so far.
-//
-// -cache DIR enables the v4 incremental engine's on-disk fact cache: each
-// package×tier result is keyed by content hashes of everything it can depend
-// on, so an unchanged tree re-lints without parsing a single file (see
-// LINTING.md). -jobs N parallelizes parsing, type-checking, and analysis
-// (0, the default, means GOMAXPROCS); output is byte-identical at any job
-// count. Both flags are validated up front: a non-positive explicit -jobs or
-// a -cache path that is not a directory is a usage error (exit 2).
+// threading), rewriting only files in which every finding has a fix.
+// -analyzers runs a comma-separated subset of the suite; an unknown name is a
+// usage error (exit 2) so a typo cannot pass CI vacuously. -budget fails the
+// run (exit 1) when linting took longer than the given duration; the
+// measured wall-clock time and the budget are recorded in the SARIF run
+// properties either way.
 package main
 
 import (
@@ -39,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -53,26 +45,7 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzer suite and exit")
 	subset := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: the full suite)")
 	budget := flag.Duration("budget", 0, "fail if linting takes longer than this (0 = no budget)")
-	cacheDir := flag.String("cache", "", "fact-cache directory for incremental runs (default: no cache)")
-	jobs := flag.Int("jobs", 0, "parallel parse/check/analysis jobs (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	jobsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" {
-			jobsSet = true
-		}
-	})
-	if jobsSet && *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "wise-lint: invalid -jobs %d: want a positive job count\n", *jobs)
-		os.Exit(2)
-	}
-	if *cacheDir != "" {
-		if st, err := os.Stat(*cacheDir); err == nil && !st.IsDir() {
-			fmt.Fprintf(os.Stderr, "wise-lint: invalid -cache %q: not a directory\n", *cacheDir)
-			os.Exit(2)
-		}
-	}
 
 	if *list {
 		for _, a := range lint.All() {
@@ -108,53 +81,26 @@ func main() {
 	}
 
 	start := time.Now()
+	mod, err := lint.LoadModuleJobs(".", runtime.GOMAXPROCS(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wise-lint:", err)
+		os.Exit(2)
+	}
+	root := mod.Root
 	var findings []lint.Finding
-	var root string
-	budgetExceeded := false
-	props := map[string]any{}
-
-	if *fix || len(fixtureDirs) > 0 {
-		// Classic path: -fix needs live AST positions and fixtures sit
-		// outside the module walk, so neither goes through the fact cache.
-		mod, err := lint.LoadModuleJobs(".", *jobs)
+	for _, dir := range fixtureDirs {
+		pkg, err := mod.LoadFixture(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wise-lint:", err)
 			os.Exit(2)
 		}
-		root = mod.Root
-		for _, dir := range fixtureDirs {
-			pkg, err := mod.LoadFixture(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wise-lint:", err)
-				os.Exit(2)
-			}
-			findings = append(findings, lint.RunPackage(mod, pkg, analyzers)...)
-		}
-		if len(patterns) > 0 || len(flag.Args()) == 0 {
-			findings = append(findings, filterByPatterns(lint.Run(mod, analyzers), root, patterns)...)
-		}
-		if *fix {
-			os.Exit(applyFixes(mod, findings))
-		}
-	} else {
-		// Engine path: incremental, parallel, cacheable (LINTING.md v4).
-		engineFindings, stats, err := lint.RunEngine(analyzers, lint.EngineOptions{
-			CacheDir: *cacheDir,
-			Jobs:     *jobs,
-			Budget:   *budget,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wise-lint:", err)
-			os.Exit(2)
-		}
-		root = stats.Root
-		findings = filterByPatterns(engineFindings, root, patterns)
-		budgetExceeded = stats.BudgetExceeded
-		if *cacheDir != "" {
-			props["cacheHits"] = stats.CacheHits
-			props["cacheMisses"] = stats.CacheMisses
-			props["fullyCached"] = stats.FullyCached
-		}
+		findings = append(findings, lint.RunPackage(mod, pkg, analyzers)...)
+	}
+	if len(patterns) > 0 || len(flag.Args()) == 0 {
+		findings = append(findings, filterByPatterns(lint.Run(mod, analyzers), root, patterns)...)
+	}
+	if *fix {
+		os.Exit(applyFixes(mod, findings))
 	}
 	elapsed := time.Since(start)
 
@@ -185,7 +131,7 @@ func main() {
 			writeReport(*jsonPath, buf.Bytes())
 		}
 		if *sarifPath != "" {
-			props["wallClockSeconds"] = elapsed.Seconds()
+			props := map[string]any{"wallClockSeconds": elapsed.Seconds()}
 			if *budget > 0 {
 				props["budgetSeconds"] = budget.Seconds()
 			}
@@ -202,10 +148,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wise-lint: %d finding(s)\n", len(findings))
 		code = 1
 	}
-	if budgetExceeded {
-		fmt.Fprintf(os.Stderr, "wise-lint: -budget of %v blown mid-run; the report above is partial (remaining analyses were cancelled)\n", *budget)
-		code = 1
-	} else if *budget > 0 && elapsed > *budget {
+	if *budget > 0 && elapsed > *budget {
 		fmt.Fprintf(os.Stderr, "wise-lint: run took %v, over the -budget of %v\n", elapsed.Round(time.Millisecond), *budget)
 		code = 1
 	}

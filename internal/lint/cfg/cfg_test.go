@@ -255,11 +255,11 @@ func TestGraphShapes(t *testing.T) {
 	}
 }
 
-// TestGraphEdgeCases pins the shapes the lock-held-set dataflow
-// (internal/lint lockstate) leans on: defer inside a loop, labeled break,
-// backward and forward goto, and select inside a loop. Each case asserts the
-// back-edge and natural-loop counts, the loop depth at every sink call, and
-// the dominator invariants the lattice iteration assumes: every loop head
+// TestGraphEdgeCases pins the control-flow shapes that are easiest to get
+// wrong: defer inside a loop, labeled break, backward and forward goto, and
+// select inside a loop. Each case asserts the back-edge and natural-loop
+// counts, the loop depth at every sink call, and the dominator invariants
+// the loop-depth and guard-dominance queries assume: every loop head
 // dominates every block of its loop, and the entry dominates every block
 // that carries statements.
 func TestGraphEdgeCases(t *testing.T) {
@@ -429,23 +429,7 @@ func TestBreakBlockOutsideNaturalLoop(t *testing.T) {
 
 const dataflowSrc = `package fix
 
-func reach(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	} else {
-		x = 3
-	}
-	return x
-}
-
-func loopcarried(n int) int {
-	acc := 0
-	for i := 0; i < n; i++ {
-		acc = acc + i
-	}
-	return acc
-}
+func fill([]int) {}
 
 func escapes(out *[]int, n int) []int {
 	kept := make([]int, 0, n)
@@ -454,7 +438,7 @@ func escapes(out *[]int, n int) []int {
 	f := func() int { return len(captured) }
 	_ = f()
 	*out = kept
-	_ = local
+	fill(local)
 	return kept
 }
 
@@ -494,87 +478,10 @@ func funcDecl(f *ast.File, name string) *ast.FuncDecl {
 	return nil
 }
 
-func TestReachingDefs(t *testing.T) {
-	_, f, info := typecheckSrc(t, dataflowSrc)
-	fd := funcDecl(f, "reach")
-	g := FuncGraph(fd)
-	r := g.ReachingDefs(info)
-
-	var xObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "x" && obj != nil {
-			xObj = obj
-		}
-	}
-	if xObj == nil {
-		t.Fatal("no def for x")
-	}
-	defs := r.DefsOf(xObj)
-	if len(defs) != 3 {
-		t.Fatalf("want 3 defs of x, got %d", len(defs))
-	}
-	// At the if.after block (which holds the return) the x:=1 def is killed
-	// on both paths; the two branch defs both reach.
-	var merge *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "if.after" {
-			merge = b
-		}
-	}
-	if merge == nil {
-		t.Fatal("no merge block")
-	}
-	reaching := 0
-	initialReaches := false
-	for _, di := range defs {
-		if r.ReachesEntry(merge, di) {
-			reaching++
-			if r.Defs[di].Block == g.Entry {
-				initialReaches = true
-			}
-		}
-	}
-	if reaching != 2 {
-		t.Errorf("want 2 defs of x reaching the merge, got %d", reaching)
-	}
-	if initialReaches {
-		t.Error("x := 1 must be killed on both branches before the merge")
-	}
-
-	// Loop-carried: the in-loop def of acc reaches the loop head.
-	fd2 := funcDecl(f, "loopcarried")
-	g2 := FuncGraph(fd2)
-	r2 := g2.ReachingDefs(info)
-	var accObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "acc" && obj != nil {
-			accObj = obj
-		}
-	}
-	var head *Block
-	for _, b := range g2.Blocks {
-		if b.Kind == "for.head" {
-			head = b
-		}
-	}
-	if head == nil || accObj == nil {
-		t.Fatal("missing loop head or acc object")
-	}
-	loopDefReaches := false
-	for _, di := range r2.DefsOf(accObj) {
-		if g2.LoopDepth(r2.Defs[di].Block) > 0 && r2.ReachesEntry(head, di) {
-			loopDefReaches = true
-		}
-	}
-	if !loopDefReaches {
-		t.Error("loop-carried def of acc should reach the loop head")
-	}
-}
-
-func TestLeaves(t *testing.T) {
+func TestRetained(t *testing.T) {
 	_, f, info := typecheckSrc(t, dataflowSrc)
 	fd := funcDecl(f, "escapes")
-	leaves := Leaves(fd, info)
+	leaves := Retained(fd, info)
 	byName := func(name string) types.Object {
 		var found types.Object
 		ast.Inspect(fd, func(n ast.Node) bool {
@@ -588,13 +495,13 @@ func TestLeaves(t *testing.T) {
 		return found
 	}
 	if !leaves[byName("kept")] {
-		t.Error("kept is returned and stored through *out: should leave")
+		t.Error("kept is returned and stored through *out: should be retained")
 	}
 	if !leaves[byName("captured")] {
-		t.Error("captured is referenced by a closure: should leave")
+		t.Error("captured is referenced by a closure: should be retained")
 	}
 	if leaves[byName("local")] {
-		t.Error("local never leaves the function")
+		t.Error("local is only passed to a callee: a scratch buffer is not retained")
 	}
 }
 

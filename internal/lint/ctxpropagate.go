@@ -21,8 +21,7 @@ import (
 // through dataflow (cfg.Derived), so `ictx, cancel := context.WithCancel(ctx)`
 // and `done := ctx.Done()` both satisfy the check.
 var CtxPropagateAnalyzer = &Analyzer{
-	Name:        "ctxpropagate",
-	ModuleFacts: true,
+	Name: "ctxpropagate",
 	Doc:  "flags context-aware functions that drop ctx when calling ctx-accepting callees, and uncancellable hot loops in the labeling/CV packages",
 	Run:  runCtxPropagate,
 }

@@ -22,8 +22,7 @@ import (
 // the analyzer instead verifies that every registered site still has an
 // injection point somewhere in the module.
 var FaultSiteAnalyzer = &Analyzer{
-	Name:        "faultsite",
-	ModuleFacts: true,
+	Name: "faultsite",
 	Doc:  "verifies faultinject sites are literal, registered, unique, test-armed, and that tests arm only existing sites",
 	Run:  runFaultSite,
 }

@@ -19,18 +19,12 @@ import (
 
 // Analyzer is one named check. Run inspects a single package and reports
 // findings through the Pass. Category, when set, groups the analyzer's SARIF
-// rule for code-scanning dashboards (the concurrency suite shares one).
-// ModuleFacts marks analyzers whose findings depend on facts outside the
-// analyzed package and its import closure (the call graph, the entry-held
-// fixpoint, the fault-site registry in _test.go files): the incremental
-// engine (engine.go) must key their cached findings on the whole module
-// state, not just the package's dependency cone.
+// rule for code-scanning dashboards.
 type Analyzer struct {
-	Name        string
-	Doc         string
-	Category    string
-	ModuleFacts bool
-	Run         func(*Pass)
+	Name     string
+	Doc      string
+	Category string
+	Run      func(*Pass)
 }
 
 // All returns the full analyzer suite in reporting order.
@@ -46,11 +40,6 @@ func All() []*Analyzer {
 		CtxPropagateAnalyzer,
 		FaultSiteAnalyzer,
 		IndexGuardAnalyzer,
-		LockDisciplineAnalyzer,
-		GuardedByAnalyzer,
-		GoroutineEscapeAnalyzer,
-		WaitBlockAnalyzer,
-		ResourceLifecycleAnalyzer,
 		NumSafetyAnalyzer,
 	}
 }
@@ -212,35 +201,19 @@ func suppressed(f Finding, dirs []ignoreDirective) bool {
 
 // RunPackage runs the given analyzers over one package and returns the
 // unsuppressed findings, sorted by position. Directives that suppress
-// nothing any of the run analyzers reported are themselves flagged by the
-// unusedignore mini-check, so stale suppressions cannot linger.
+// nothing any of the run analyzers reported, or that name no analyzer in the
+// suite, are themselves flagged by the unusedignore mini-check, so stale
+// suppressions cannot linger.
 func RunPackage(m *Module, pkg *Package, analyzers []*Analyzer) []Finding {
-	return runPackageTier(m, pkg, analyzers, true, nil)
-}
-
-// runPackageTier is RunPackage with two extra controls for the incremental
-// engine: includeMeta gates the malformed-//lint:ignore meta findings (the
-// engine runs a package's analyzers as two cacheable tiers and must emit the
-// directive diagnostics exactly once), and cancelled, when non-nil, aborts
-// between analyzers once a wall-clock budget blows (the partial findings are
-// returned but must not be cached).
-func runPackageTier(m *Module, pkg *Package, analyzers []*Analyzer, includeMeta bool, cancelled func() bool) []Finding {
 	var raw []Finding
 	for _, a := range analyzers {
-		if cancelled != nil && cancelled() {
-			break
-		}
 		pass := &Pass{Analyzer: a, Fset: m.Fset, Pkg: pkg, Mod: m, findings: &raw}
 		a.Run(pass)
 	}
-	var meta []Finding // malformed-directive findings are never suppressible
+	var out []Finding // malformed-directive findings are never suppressible
 	var dirs []ignoreDirective
 	for _, f := range pkg.Files {
-		dirs = append(dirs, parseIgnores(m.Fset, f, &meta)...)
-	}
-	var out []Finding
-	if includeMeta {
-		out = meta
+		dirs = append(dirs, parseIgnores(m.Fset, f, &out)...)
 	}
 	for _, f := range raw {
 		if !suppressed(f, dirs) {
@@ -252,36 +225,50 @@ func runPackageTier(m *Module, pkg *Package, analyzers []*Analyzer, includeMeta 
 	return out
 }
 
-// unusedIgnores reports //lint:ignore directives that suppressed nothing.
-// Only directives naming an analyzer that actually ran are judged (a partial
-// run must not flag directives for analyzers it skipped), and wildcard
-// directives are exempt — they are rare and carry their own rationale.
+// unusedIgnores reports //lint:ignore directives that suppressed nothing,
+// and directives naming an analyzer the suite does not have (a deleted or
+// misspelled analyzer can never fire, so its directive is dead). A
+// directive for a suite analyzer that did not run is exempt — a partial
+// -analyzers run must not flag suppressions for the analyzers it skipped —
+// and so are wildcard directives, which are rare and carry their own
+// rationale.
 func unusedIgnores(dirs []ignoreDirective, raw []Finding, analyzers []*Analyzer) []Finding {
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		active[a.Name] = true
 	}
-	var out []Finding
-	for _, d := range dirs {
-		if d.analyzer == "*" || !active[d.analyzer] {
-			continue
-		}
-		used := false
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	suppressesAny := func(d ignoreDirective) bool {
 		for _, f := range raw {
 			if suppressed(f, []ignoreDirective{d}) {
-				used = true
-				break
+				return true
 			}
 		}
-		if !used {
-			out = append(out, Finding{
-				Analyzer: "unusedignore",
-				File:     d.file,
-				Line:     d.line,
-				Col:      1,
-				Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing; remove the stale directive", d.analyzer),
-			})
+		return false
+	}
+	var out []Finding
+	for _, d := range dirs {
+		var why string
+		switch {
+		case d.analyzer == "*":
+			continue
+		case !known[d.analyzer]:
+			why = "names no analyzer in the suite"
+		case !active[d.analyzer] || suppressesAny(d):
+			continue
+		default:
+			why = "suppresses nothing"
 		}
+		out = append(out, Finding{
+			Analyzer: "unusedignore",
+			File:     d.file,
+			Line:     d.line,
+			Col:      1,
+			Message:  fmt.Sprintf("//lint:ignore %s %s; remove the stale directive", d.analyzer, why),
+		})
 	}
 	return out
 }
@@ -312,9 +299,9 @@ func sortFindings(fs []Finding) {
 			return a.Analyzer < b.Analyzer
 		}
 		// Message is the final tiebreaker: sort.Slice is not stable, and the
-		// engine promises byte-identical reports across serial, parallel,
-		// cold-cache, and warm-cache runs — two findings at the same position
-		// from the same analyzer must never flip order between runs.
+		// report must be byte-identical at any loader job count — two
+		// findings at the same position from the same analyzer must never
+		// flip order between runs.
 		return a.Message < b.Message
 	})
 }
@@ -341,11 +328,4 @@ func calleeFunc(call *ast.CallExpr) *ast.Ident {
 		return fun.Sel
 	}
 	return nil
-}
-
-// isTestFile reports whether the position is in a _test.go file. The loader
-// excludes test files, so this is a belt-and-suspenders guard for fixture
-// setups.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

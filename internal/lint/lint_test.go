@@ -157,26 +157,79 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
+// TestMalformedIgnoreReported checks the directive diagnostics that no
+// suppression can hide: a directive without a reason is malformed, and one
+// naming an analyzer the suite does not have is dead (it can never suppress
+// anything). A directive for a suite analyzer the run left out stays exempt.
 func TestMalformedIgnoreReported(t *testing.T) {
 	m := repoModule(t)
-	dir := t.TempDir()
-	src := `package p
-
-func f() int {
-	//lint:ignore floateq
-	return 1
+	cases := []struct {
+		name, directive string
+		analyzers       []*Analyzer
+		want            string // substring of the single finding; "" = no finding
+	}{
+		{"no reason", "//lint:ignore floateq", nil, "malformed"},
+		{"unknown analyzer", "//lint:ignore nosuchanalyzer gone from the suite", nil, "names no analyzer in the suite"},
+		{"unknown analyzer in a subset run", "//lint:ignore nosuchanalyzer gone from the suite", []*Analyzer{FloatEqAnalyzer}, "names no analyzer in the suite"},
+		{"analyzer left out of the run", "//lint:ignore errdrop covered by a test", []*Analyzer{FloatEqAnalyzer}, ""},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := "package p\n\nfunc f() int {\n\t" + tc.directive + "\n\treturn 1\n}\n"
+			if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pkg, err := m.LoadExtraDir(dir, fmt.Sprintf("fixture/directive%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			findings := RunPackage(m, pkg, tc.analyzers)
+			if tc.want == "" {
+				if len(findings) != 0 {
+					t.Fatalf("want no findings, got %v", findings)
+				}
+				return
+			}
+			if len(findings) != 1 || !strings.Contains(findings[0].Message, tc.want) {
+				t.Fatalf("want one finding containing %q, got %v", tc.want, findings)
+			}
+		})
+	}
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+
+// TestLoadJobsDeterministic pins the parallel loader's promise: the report
+// does not depend on how many workers type-checked the module, on the real
+// tree or on the analyzer fixtures.
+func TestLoadJobsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module twice; skipped in -short")
 	}
-	pkg, err := m.LoadExtraDir(dir, "fixture/malformed")
-	if err != nil {
-		t.Fatal(err)
+	report := func(jobs int) string {
+		m, err := LoadModuleJobs(".", jobs)
+		if err != nil {
+			t.Fatalf("LoadModuleJobs(%d): %v", jobs, err)
+		}
+		fs := Run(m, All())
+		for _, a := range All() {
+			pkg, err := m.LoadFixture(filepath.Join("testdata", a.Name))
+			if err != nil {
+				t.Fatalf("jobs=%d: loading %s fixture: %v", jobs, a.Name, err)
+			}
+			fs = append(fs, RunPackage(m, pkg, All())...)
+		}
+		var b strings.Builder
+		if err := WriteJSON(&b, fs); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	findings := RunPackage(m, pkg, nil)
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, "malformed") {
-		t.Fatalf("want one malformed-directive finding, got %v", findings)
+	serial, parallel := report(1), report(4)
+	if serial != parallel {
+		t.Fatalf("findings differ between 1 and 4 load jobs:\n--- jobs=1\n%s\n--- jobs=4\n%s", serial, parallel)
+	}
+	if !strings.Contains(serial, `"analyzer"`) {
+		t.Fatal("fixtures produced no findings; the comparison is vacuous")
 	}
 }
 

@@ -39,14 +39,6 @@ type Module struct {
 	byPath map[string]*Package
 	std    types.Importer
 	stdMu  sync.Mutex // serializes std importer use: gc export-data readers are not concurrency-safe
-
-	// Interprocedural analysis state (callgraph, guarded-by registry,
-	// entry-held lock sets — see interproc.go), built lazily: once for the
-	// module packages, and once per fixture package layered on top of them.
-	analysisOnce  sync.Once
-	analysis      *modAnalysis
-	extraMu       sync.Mutex
-	extraAnalyses map[*Package]*modAnalysis
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing
@@ -249,7 +241,9 @@ func (m *Module) checkParallel(parsed map[string]*Package, order []string, jobs 
 					//lint:ignore goroutinesafety waiting is only ever written under mu (held here); the analyzer cannot see lock guards on captured maps
 					waiting[dep]--
 					if waiting[dep] == 0 && !closed {
-						//lint:ignore waitblock ready is buffered to len(parsed) with at most one send per package, so this send can never park while holding mu
+						// ready is buffered to len(parsed) with at most one
+						// send per package, so this send never parks while
+						// holding mu.
 						ready <- dep
 					}
 				}

@@ -105,7 +105,7 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, runProps
 	for _, a := range analyzers {
 		addRule(a.Name, a.Doc, a.Category)
 	}
-	addRule("unusedignore", "flags //lint:ignore directives that no longer suppress any finding", "")
+	addRule("unusedignore", "flags //lint:ignore directives that no longer suppress any finding or name no analyzer in the suite", "")
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {

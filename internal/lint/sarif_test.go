@@ -92,10 +92,8 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("rule %s category = %q, want %q", a.Name, categories[a.Name], a.Category)
 		}
 	}
-	for _, name := range []string{"lockdiscipline", "guardedby", "goroutineescape", "waitblock"} {
-		if categories[name] != "concurrency" {
-			t.Errorf("rule %s category = %q, want concurrency", name, categories[name])
-		}
+	if categories["numsafety"] != "numeric" {
+		t.Errorf("rule numsafety category = %q, want numeric", categories["numsafety"])
 	}
 	if len(run.Results) != len(findings) {
 		t.Fatalf("want %d results, got %d", len(findings), len(run.Results))

@@ -81,12 +81,24 @@ func TestCLIUsageErrors(t *testing.T) {
 // notice, and a SARIF log that still carries wallClockSeconds and
 // budgetSeconds.
 func TestCLIOverBudgetSARIF(t *testing.T) {
+	checkOverBudgetSARIF(t)
+}
+
+// TestCLIFixOverBudgetSARIF is the same run with -fix: applying fixes (none,
+// on the clean tree) must not skip the SARIF log or the budget check.
+func TestCLIFixOverBudgetSARIF(t *testing.T) {
+	checkOverBudgetSARIF(t, "-fix")
+}
+
+func checkOverBudgetSARIF(t *testing.T, flags ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full-tree CLI run skipped in -short")
 	}
 	exe, root := buildCLI(t)
 	sarifPath := filepath.Join(t.TempDir(), "lint.sarif")
-	out, code := runCLI(t, exe, root, "-budget", "1ns", "-sarif", sarifPath, "./...")
+	args := append(flags, "-budget", "1ns", "-sarif", sarifPath, "./...")
+	out, code := runCLI(t, exe, root, args...)
 	if code != 1 {
 		t.Fatalf("over budget: exit %d, want 1\n%s", code, out)
 	}

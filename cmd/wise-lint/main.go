@@ -16,7 +16,9 @@
 //
 // -sarif writes the findings as a SARIF 2.1.0 log for CI code-scanning
 // upload. -fix applies the suggested fixes (capacity hints, context
-// threading), rewriting only files in which every finding has a fix.
+// threading), rewriting only files in which every finding has a fix; its
+// exit code replaces the findings' own, and -json, -sarif and -budget still
+// apply to the run, whose findings the reports record as found.
 // -analyzers runs a comma-separated subset of the suite; an unknown name is a
 // usage error (exit 2) so a typo cannot pass CI vacuously. -budget fails the
 // run (exit 1) when linting took longer than the given duration; the
@@ -99,10 +101,11 @@ func main() {
 	if len(patterns) > 0 || len(flag.Args()) == 0 {
 		findings = append(findings, filterByPatterns(lint.Run(mod, analyzers), root, patterns)...)
 	}
-	if *fix {
-		os.Exit(applyFixes(mod, findings))
-	}
 	elapsed := time.Since(start)
+	code := 0
+	if *fix {
+		code = applyFixes(mod, findings)
+	}
 
 	// With -json - or -sarif -, stdout carries only the machine-readable
 	// log so it pipes cleanly; the human-readable lines move to stderr.
@@ -110,9 +113,11 @@ func main() {
 	if *jsonPath == "-" || *sarifPath == "-" {
 		human = os.Stderr
 	}
-	for _, f := range findings {
-		//lint:ignore errdrop human only ever aliases os.Stdout or os.Stderr
-		fmt.Fprintln(human, relFinding(root, f))
+	if !*fix {
+		for _, f := range findings {
+			//lint:ignore errdrop human only ever aliases os.Stdout or os.Stderr
+			fmt.Fprintln(human, relFinding(root, f))
+		}
 	}
 	if *jsonPath != "" || *sarifPath != "" {
 		rel := make([]lint.Finding, len(findings))
@@ -143,14 +148,13 @@ func main() {
 			writeReport(*sarifPath, buf.Bytes())
 		}
 	}
-	code := 0
-	if len(findings) > 0 {
+	if !*fix && len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "wise-lint: %d finding(s)\n", len(findings))
 		code = 1
 	}
 	if *budget > 0 && elapsed > *budget {
 		fmt.Fprintf(os.Stderr, "wise-lint: run took %v, over the -budget of %v\n", elapsed.Round(time.Millisecond), *budget)
-		code = 1
+		code = max(code, 1)
 	}
 	os.Exit(code)
 }

@@ -96,6 +96,15 @@ func BuildSegCSR(m *matrix.CSR, segCols int, sched Sched, rowBlock int) *SegCSR 
 	return out
 }
 
+// Bytes is the heap footprint of the segments' CSR arrays.
+func (f *SegCSR) Bytes() int64 {
+	var n int64
+	for _, seg := range f.Segs {
+		n += 8*int64(len(seg.RowPtr)) + 4*int64(len(seg.ColIdx)) + 8*int64(len(seg.Vals))
+	}
+	return n
+}
+
 // SpMV computes y = A*x sequentially.
 func (f *SegCSR) SpMV(y, x []float64) { f.SpMVParallel(y, x, 1) }
 

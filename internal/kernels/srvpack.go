@@ -42,6 +42,11 @@ type Segment struct {
 	// (ChunkOff[k]+p)*C + l. Padded slots hold Val 0 and ColIdx 0.
 	Vals   []float64
 	ColIdx []int32
+	// LaneLen[pos] is the number of real elements in the lane at packed
+	// position pos; the slots past it up to the chunk width are padding.
+	// Padding cannot be told from its contents: an explicit zero at column
+	// (or CFS rank) 0 is stored as Val 0, ColIdx 0 too.
+	LaneLen []int32
 	// ColLo, ColHi delimit the segment's column-rank range [ColLo, ColHi).
 	ColLo, ColHi int32
 
@@ -52,6 +57,60 @@ type Segment struct {
 
 // Chunks returns the number of chunks in the segment.
 func (s *Segment) Chunks() int { return len(s.ChunkOff) - 1 }
+
+// CSR reconstructs the matrix the pack was built from, exactly: the same
+// RowPtr and ColIdx, and the same bits in Vals. Each lane is read back for
+// LaneLen elements, segment by segment in ascending column range, so every
+// row comes out in column order; a pack built in CFS rank space is then
+// renamed back to the original columns by the inverse of ColPerm, which
+// PermuteCols emits sorted per row. It costs O(nnz) time and a fresh CSR's
+// memory (three for a ColPerm pack, while it permutes).
+func (p *SRVPack) CSR() *matrix.CSR {
+	m := &matrix.CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int64, p.Rows+1)}
+	for si := range p.Segments {
+		seg := &p.Segments[si]
+		for pos, n := range seg.LaneLen {
+			m.RowPtr[seg.RowOrder[pos]+1] += int64(n)
+		}
+	}
+	for i := 0; i < p.Rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	m.ColIdx = make([]int32, m.RowPtr[p.Rows])
+	m.Vals = make([]float64, m.RowPtr[p.Rows])
+	next := append([]int64(nil), m.RowPtr[:p.Rows]...)
+	c := int64(p.C)
+	for si := range p.Segments {
+		seg := &p.Segments[si]
+		for pos, n := range seg.LaneLen {
+			row := seg.RowOrder[pos]
+			idx := seg.ChunkOff[int64(pos)/c]*c + int64(pos)%c
+			for e := next[row]; e < next[row]+int64(n); e++ {
+				m.ColIdx[e], m.Vals[e] = seg.ColIdx[idx], seg.Vals[idx]
+				idx += c
+			}
+			next[row] += int64(n)
+		}
+	}
+	if p.ColPerm != nil {
+		m = m.PermuteCols(p.ColPerm.Inverse())
+	}
+	return m
+}
+
+// Bytes is the heap footprint of the pack's arrays: every segment's
+// packed elements and metadata, the column permutation, and for a ColPerm
+// pack the gathered-x buffer its first SpMV allocates.
+func (p *SRVPack) Bytes() int64 {
+	n := p.Stats().MatrixBytes + 4*int64(len(p.ColPerm))
+	for si := range p.Segments {
+		n += 4 * int64(len(p.Segments[si].LaneLen))
+	}
+	if p.ColPerm != nil {
+		n += 8 * int64(p.Cols)
+	}
+	return n
+}
 
 // BuildSRVPack converts a CSR matrix into SRVPack form for any vectorized
 // method (every Kind except CSR), scheduling the default of 64 rows per
@@ -172,6 +231,7 @@ func buildSegment(work *matrix.CSR, method Method, cLo, cHi int32) Segment {
 		ChunkOff: off,
 		Vals:     make([]float64, totalWidth*int64(c)),
 		ColIdx:   make([]int32, totalWidth*int64(c)),
+		LaneLen:  make([]int32, rows),
 		ColLo:    cLo,
 		ColHi:    cHi,
 	}
@@ -184,6 +244,7 @@ func buildSegment(work *matrix.CSR, method Method, cLo, cHi int32) Segment {
 			}
 			row := int(order[pos])
 			src := spanLo[row]
+			seg.LaneLen[pos] = int32(counts[row])
 			for e := int64(0); e < counts[row]; e++ {
 				idx := (off[k]+e)*int64(c) + int64(l)
 				seg.Vals[idx] = work.Vals[src+e]

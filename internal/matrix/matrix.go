@@ -61,6 +61,12 @@ type CSR struct {
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.ColIdx) }
 
+// Shape is a matrix's dimensions and stored-nonzero count.
+type Shape struct{ Rows, Cols, NNZ int }
+
+// Shape returns the matrix's dimensions and stored-nonzero count.
+func (m *CSR) Shape() Shape { return Shape{m.Rows, m.Cols, m.NNZ()} }
+
 // RowNNZ returns the number of nonzeros in row i.
 func (m *CSR) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
 

@@ -116,7 +116,7 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 		// blocks or fails the request.
 		s.feedback.offer(in, lm)
 	}
-	writeJSON(w, http.StatusOK, selectionResponse(in.sel, in.reason, "", in.m, start))
+	writeJSON(w, http.StatusOK, selectionResponse(in.sel, in.reason, "", in.m.Shape(), start))
 }
 
 // fingerprintOf extracts the session handle of a warm request: the fp query
@@ -137,7 +137,7 @@ func (s *Server) answerPredictSession(w http.ResponseWriter, fp string, start ti
 	}
 	defer s.sessions.Release(ent)
 	lm := s.models.current()
-	resp := selectionResponse(s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures), "", fp, ent.Matrix(), start)
+	resp := selectionResponse(s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures), "", fp, ent.Shape(), start)
 	resp.Cached = true
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -216,8 +216,8 @@ func extract(ctx context.Context, lm *loadedModel, m *matrix.CSR) (features.Feat
 }
 
 // selectionResponse assembles a /predict or /matrix answer; a non-empty
-// reason marks it degraded. m is nil when no matrix was parsed.
-func selectionResponse(sel core.Selection, reason, fp string, m *matrix.CSR, start time.Time) predictResponse {
+// reason marks it degraded. shape is zero when no matrix was parsed.
+func selectionResponse(sel core.Selection, reason, fp string, shape matrix.Shape, start time.Time) predictResponse {
 	resp := predictResponse{
 		Method:         sel.Method.String(),
 		Index:          sel.Index,
@@ -226,9 +226,9 @@ func selectionResponse(sel core.Selection, reason, fp string, m *matrix.CSR, sta
 		Degraded:       reason != "",
 		Reason:         reason,
 		Fingerprint:    fp,
-	}
-	if m != nil {
-		resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
+		Rows:           shape.Rows,
+		Cols:           shape.Cols,
+		NNZ:            shape.NNZ,
 	}
 	if resp.Degraded {
 		requestsDegraded.Inc()

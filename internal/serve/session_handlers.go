@@ -150,13 +150,14 @@ func (s *Server) prepare(ctx context.Context, lm *loadedModel, body io.Reader) (
 	return pr, nil
 }
 
-// selection returns the matrix and the current selection of a prepared
-// request, re-predicting a cached entry after a model-generation change.
-func (s *Server) selection(pr prepared, lm *loadedModel) (*matrix.CSR, core.Selection) {
+// selection returns the matrix shape and the current selection of a
+// prepared request, re-predicting a cached entry after a model-generation
+// change.
+func (s *Server) selection(pr prepared, lm *loadedModel) (matrix.Shape, core.Selection) {
 	if pr.ent == nil {
-		return pr.local.M, pr.local.Sel
+		return pr.local.M.Shape(), pr.local.Sel
 	}
-	return pr.ent.Matrix(), s.sessions.Refresh(pr.ent, lm.genID, lm.w.SelectFromFeatures)
+	return pr.ent.Shape(), s.sessions.Refresh(pr.ent, lm.genID, lm.w.SelectFromFeatures)
 }
 
 // buildFailed answers a failed session build: 400 for a bad body, 500 for
@@ -198,15 +199,15 @@ func (s *Server) handleMatrix(ctx context.Context, w http.ResponseWriter, r *htt
 	if err != nil {
 		buildFailed(ctx, w, err, func() {
 			writeJSON(w, http.StatusOK, matrixResponse{
-				predictResponse: selectionResponse(lm.fallbackSelection(), reasonDeadline, pr.fp, nil, start)})
+				predictResponse: selectionResponse(lm.fallbackSelection(), reasonDeadline, pr.fp, matrix.Shape{}, start)})
 		})
 		return
 	}
 	if pr.ent != nil {
 		defer s.sessions.Release(pr.ent)
 	}
-	m, sel := s.selection(pr, lm)
-	resp := matrixResponse{predictResponse: selectionResponse(sel, pr.reason, pr.fp, m, start), Stored: pr.ent != nil}
+	shape, sel := s.selection(pr, lm)
+	resp := matrixResponse{predictResponse: selectionResponse(sel, pr.reason, pr.fp, shape, start), Stored: pr.ent != nil}
 	resp.Cached = pr.hit
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -272,15 +273,15 @@ func (s *Server) handleSpMV(ctx context.Context, w http.ResponseWriter, r *http.
 // pinning or execution serialization. X defaults to all ones, and y is
 // echoed only for small results.
 func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loadedModel, pr prepared, req spmvRequest, start time.Time) {
-	m, sel := s.selection(pr, lm)
+	shape, sel := s.selection(pr, lm)
 	x, refusal := req.X, ""
 	switch {
-	case req.Iterations > 1 && m.Rows != m.Cols:
-		refusal = fmt.Sprintf("serve: iterations > 1 needs a square matrix, got %dx%d", m.Rows, m.Cols)
+	case req.Iterations > 1 && shape.Rows != shape.Cols:
+		refusal = fmt.Sprintf("serve: iterations > 1 needs a square matrix, got %dx%d", shape.Rows, shape.Cols)
 	case x == nil:
-		x = matrix.Ones(m.Cols)
-	case len(x) != m.Cols:
-		refusal = fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(x), m.Cols)
+		x = matrix.Ones(shape.Cols)
+	case len(x) != shape.Cols:
+		refusal = fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(x), shape.Cols)
 	}
 	if refusal != "" {
 		requestsRejected.Inc()
@@ -292,7 +293,7 @@ func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loaded
 	if pr.ent != nil {
 		y, err = s.sessions.Exec(ctx, pr.ent, x, req.Iterations, kernels.DefaultWorkers())
 	} else {
-		y, err = kernels.Iterate(ctx, pr.local.Format, m.Rows, x, req.Iterations, kernels.DefaultWorkers())
+		y, err = kernels.Iterate(ctx, pr.local.Format, shape.Rows, x, req.Iterations, kernels.DefaultWorkers())
 	}
 	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "serve: spmv: " + err.Error()})
@@ -307,14 +308,14 @@ func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loaded
 		Warm:        pr.hit,
 		Degraded:    pr.reason != "",
 		Reason:      pr.reason,
-		Rows:        m.Rows,
-		Cols:        m.Cols,
-		NNZ:         m.NNZ(),
+		Rows:        shape.Rows,
+		Cols:        shape.Cols,
+		NNZ:         shape.NNZ,
 		Iterations:  req.Iterations,
 		YNorm:       matrix.Norm2(y),
 		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if m.Rows <= spmvInlineRows {
+	if shape.Rows <= spmvInlineRows {
 		resp.Y = y
 	}
 	writeJSON(w, http.StatusOK, resp)

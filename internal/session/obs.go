@@ -22,9 +22,10 @@ var (
 	singleflightWaits       = obs.NewCounter("session.singleflight_waits")
 	singleflightLeaderFails = obs.NewCounter("session.singleflight_leader_failures")
 
-	sessionEntries = obs.NewGauge("session.entries")
-	sessionBytes   = obs.NewGauge("session.bytes")
-	sessionPinned  = obs.NewGauge("session.pinned")
+	sessionEntries  = obs.NewGauge("session.entries")
+	sessionBytes    = obs.NewGauge("session.bytes")
+	sessionResident = obs.NewGauge("session.resident_bytes")
+	sessionPinned   = obs.NewGauge("session.pinned")
 )
 
 // obsVerbosef narrates non-fatal store events (spill cleanup failures,

@@ -25,9 +25,15 @@
 //
 // Lock ordering: Entry.execMu > Entry.mu > Store.mu. Store.mu guards the
 // map, the LRU list, byte accounting, pins, and singleflight flights;
-// Entry.mu guards the per-entry mutable prediction state; execMu serializes
-// kernel execution because some formats (SRVPack) carry scratch buffers and
-// are not reentrant.
+// Entry.mu guards the per-entry mutable prediction state and the matrix
+// representation; execMu serializes kernel execution because some formats
+// (SRVPack) carry scratch buffers and are not reentrant.
+//
+// A session holds one representation of its matrix. An SRVPack encodes the
+// matrix completely (kernels.SRVPack.CSR is its exact inverse), so a packed
+// entry drops its CSR and keeps only the shape; the CSR is rebuilt from the
+// pack only when the session moves to another method. A CSR-selected entry
+// keeps the CSR its format already wraps.
 package session
 
 import (
@@ -69,6 +75,7 @@ type Config struct {
 
 // Prepared is the product of one full inspector pass over an uploaded
 // matrix: everything a warm request needs to skip preprocessing entirely.
+// The store keeps M only while Format is not an SRVPack.
 type Prepared struct {
 	M      *matrix.CSR
 	Feat   features.Features
@@ -83,31 +90,49 @@ type Entry struct {
 	fp   string
 	cost int64
 
-	// LRU bookkeeping, protected by the owning Store's mu.
-	elem *list.Element
-	pins int
+	// LRU bookkeeping and resident-byte accounting, protected by the owning
+	// Store's mu.
+	elem     *list.Element
+	pins     int
+	resident int64 // bytes of the CSR and format the entry holds
 
 	mu           sync.Mutex
 	sel          core.Selection // guarded by mu
 	genID        string         // guarded by mu
 	format       kernels.Format // guarded by mu
 	formatMethod kernels.Method // guarded by mu; the method format was built for
+	// m is nil exactly while format is an SRVPack, which then holds the
+	// session's only copy of the matrix.
+	m *matrix.CSR // guarded by mu
 
 	// execMu serializes kernel execution: SRVPack and friends carry scratch
 	// buffers, so one format instance must not run two SpMVs concurrently.
 	execMu sync.Mutex
 
 	// Immutable after construction.
-	m    *matrix.CSR
-	feat features.Features
+	shape matrix.Shape
+	feat  features.Features
 }
 
 // Fingerprint returns the content address of the session's matrix.
 func (e *Entry) Fingerprint() string { return e.fp }
 
-// Matrix returns the cached parsed matrix (immutable; callers must not
-// mutate it).
-func (e *Entry) Matrix() *matrix.CSR { return e.m }
+// Matrix returns the session's matrix (callers must not mutate it). A
+// packed session holds no CSR, so for it every call reconstructs one from
+// the pack: exact, but O(nnz) time and memory. It is not for request paths,
+// which read Shape.
+func (e *Entry) Matrix() *matrix.CSR {
+	e.mu.Lock()
+	m, f := e.m, e.format
+	e.mu.Unlock()
+	if m != nil {
+		return m
+	}
+	return f.(*kernels.SRVPack).CSR()
+}
+
+// Shape returns the dimensions and nonzero count of the session's matrix.
+func (e *Entry) Shape() matrix.Shape { return e.shape }
 
 // Features returns the cached extracted features.
 func (e *Entry) Features() features.Features { return e.feat }
@@ -126,7 +151,8 @@ func (e *Entry) Selection() (core.Selection, string) {
 type Stats struct {
 	Entries       int
 	PinnedEntries int
-	Bytes         int64
+	Bytes         int64 // charged against MaxBytes: preparedCost per entry
+	ResidentBytes int64 // CSR and format bytes the entries actually hold
 	MaxBytes      int64
 
 	Hits              int64 // fingerprint found in cache
@@ -150,13 +176,14 @@ type Store struct {
 	spillDir string
 	rowBlock int
 
-	mu      sync.Mutex
-	entries map[string]*list.Element // guarded by mu; values hold *Entry
-	lru     *list.List               // guarded by mu; front = most recent
-	flights map[string]*flight       // guarded by mu
-	bytes   int64                    // guarded by mu
-	pinned  int                      // guarded by mu; entries with pins > 0
-	stats   Stats                    // guarded by mu (counter fields)
+	mu       sync.Mutex
+	entries  map[string]*list.Element // guarded by mu; values hold *Entry
+	lru      *list.List               // guarded by mu; front = most recent
+	flights  map[string]*flight       // guarded by mu
+	bytes    int64                    // guarded by mu
+	resident int64                    // guarded by mu
+	pinned   int                      // guarded by mu; entries with pins > 0
+	stats    Stats                    // guarded by mu (counter fields)
 }
 
 // flight is one in-progress build: the leader closes done exactly once with
@@ -380,16 +407,19 @@ func (s *Store) insertLocked(fp string, p *Prepared, pins int) (*Entry, error) {
 	e := &Entry{
 		fp:           fp,
 		cost:         cost,
-		m:            p.M,
+		m:            heldCSR(p.M, p.Format),
+		shape:        p.M.Shape(),
 		feat:         p.Feat,
 		sel:          p.Sel,
 		genID:        p.GenID,
 		format:       p.Format,
 		formatMethod: p.Sel.Method,
 	}
+	e.resident = residentBytes(e.m, e.format)
 	e.elem = s.lru.PushFront(e)
 	s.entries[fp] = e.elem
 	s.bytes += cost
+	s.resident += e.resident
 	if pins > 0 {
 		s.pinned++
 		e.pins = pins
@@ -442,6 +472,7 @@ func (s *Store) removeLocked(e *Entry) {
 	delete(s.entries, e.fp)
 	s.lru.Remove(e.elem)
 	s.bytes -= e.cost
+	s.resident -= e.resident
 	if s.spillDir != "" {
 		if err := os.Remove(s.spillPath(e.fp)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			obsVerbosef("session: removing spill file for %s: %v", shortFP(e.fp), err)
@@ -477,7 +508,7 @@ func (s *Store) Exec(ctx context.Context, e *Entry, x []float64, iters, workers 
 	if err := faultinject.Hit("session.exec.panic"); err != nil {
 		panic(fmt.Sprintf("session: exec: %v", err))
 	}
-	y, err := kernels.Iterate(ctx, s.ensureFormat(e), e.m.Rows, x, iters, workers)
+	y, err := kernels.Iterate(ctx, s.ensureFormat(e), e.shape.Rows, x, iters, workers)
 	if err != nil {
 		return nil, fmt.Errorf("session: exec: %w", err)
 	}
@@ -487,29 +518,60 @@ func (s *Store) Exec(ctx context.Context, e *Entry, x []float64, iters, workers 
 
 // ensureFormat returns a converted format matching the entry's current
 // selection, rebuilding it when the cached one is absent or was built for a
-// method the selection has since moved away from. Called with execMu held,
-// so at most one rebuild runs per entry.
+// method the selection has since moved away from. A packed entry's CSR is
+// reconstructed from its old pack for the rebuild, and dropped again when
+// the new format is a pack too. Called with execMu held, so at most one
+// rebuild runs per entry and only it changes e.format and e.m.
 func (s *Store) ensureFormat(e *Entry) kernels.Format {
 	e.mu.Lock()
-	f, method := e.format, e.sel.Method
-	if f != nil && e.formatMethod != method {
-		f = nil
-	}
+	f, m, method := e.format, e.m, e.sel.Method
+	current := f != nil && e.formatMethod == method
 	e.mu.Unlock()
-	if f != nil {
+	if current {
 		return f
 	}
-	f = kernels.Build(e.m, method, s.rowBlock)
+	if m == nil {
+		m = f.(*kernels.SRVPack).CSR()
+	}
+	f = kernels.Build(m, method, s.rowBlock)
 	sessionConverts.Inc()
-	s.mu.Lock()
-	s.stats.Converts++
-	s.mu.Unlock()
 	e.mu.Lock()
 	if e.sel.Method == method {
-		e.format, e.formatMethod = f, method
+		e.format, e.formatMethod, e.m = f, method, heldCSR(m, f)
 	}
+	resident := residentBytes(e.m, e.format)
 	e.mu.Unlock()
+	s.mu.Lock()
+	s.stats.Converts++
+	if el, ok := s.entries[e.fp]; ok && el == e.elem {
+		s.resident += resident - e.resident
+	}
+	e.resident = resident
+	s.updateGaugesLocked()
+	s.mu.Unlock()
 	return f
+}
+
+// heldCSR returns the CSR an entry keeps beside format f: none when f is an
+// SRVPack, which encodes the whole matrix.
+func heldCSR(m *matrix.CSR, f kernels.Format) *matrix.CSR {
+	if _, packed := f.(*kernels.SRVPack); packed {
+		return nil
+	}
+	return m
+}
+
+// residentBytes is what an entry holding m (nil for a packed entry) and f
+// keeps on the heap for its matrix. A CSRFormat wraps m itself.
+func residentBytes(m *matrix.CSR, f kernels.Format) int64 {
+	var n int64
+	if m != nil {
+		n = csrBytes(m)
+	}
+	if b, ok := f.(interface{ Bytes() int64 }); ok {
+		n += b.Bytes()
+	}
+	return n
 }
 
 // Stats returns a snapshot of the store's state and lifetime counters.
@@ -520,6 +582,7 @@ func (s *Store) Stats() Stats {
 	st.Entries = s.lru.Len()
 	st.PinnedEntries = s.pinned
 	st.Bytes = s.bytes
+	st.ResidentBytes = s.resident
 	st.MaxBytes = s.maxBytes
 	return st
 }
@@ -535,6 +598,7 @@ func (s *Store) PinnedCount() int {
 func (s *Store) updateGaugesLocked() {
 	sessionEntries.Set(float64(s.lru.Len()))
 	sessionBytes.Set(float64(s.bytes))
+	sessionResident.Set(float64(s.resident))
 	sessionPinned.Set(float64(s.pinned))
 }
 
@@ -545,13 +609,21 @@ func (s *Store) updateGaugesLocked() {
 // format allowance up front — whether or not the format is currently
 // materialized — keeps the byte-budget invariant exact: lazily rebuilding a
 // rehydrated session's format never pushes the store over budget.
+//
+// The charge stays the same for a packed entry that holds no CSR: a rebuild
+// to another method transiently holds a reconstructed CSR beside the new
+// format, and the charge covers that peak.
 func preparedCost(m *matrix.CSR) int64 {
 	nnz := int64(m.NNZ())
 	rows := int64(m.Rows)
-	csr := 12*nnz + 8*(rows+1) // vals + colidx + rowptr
 	format := 16*nnz + 16*rows // converted artifact allowance (padding included)
 	const fixed = 4096         // entry struct, feature vector, map/list overhead
-	return csr + format + fixed
+	return csrBytes(m) + format + fixed
+}
+
+// csrBytes is the size of a CSR's arrays: vals + colidx + rowptr.
+func csrBytes(m *matrix.CSR) int64 {
+	return 12*int64(m.NNZ()) + 8*int64(m.Rows+1)
 }
 
 func shortFP(fp string) string {

@@ -24,9 +24,11 @@ go test -race ./...
 # At GOMAXPROCS=1 the MatrixMarket reader parses its blocks and the feature
 # extractor runs its walks inline, the path 1-CPU hosts take and multi-core
 # runners otherwise never do; the kernels' worker teams, which tests size
-# explicitly, then share one processor, so a spinning worker must yield.
+# explicitly, then share one processor, so a spinning worker must yield. A
+# session rebuild reconstructs its CSR from the old pack and runs the
+# kernels' team there too.
 # -count=1: the test cache does not key on GOMAXPROCS.
-GOMAXPROCS=1 go test -count=1 ./internal/matrix ./internal/features ./internal/serve ./internal/kernels
+GOMAXPROCS=1 go test -count=1 ./internal/matrix ./internal/features ./internal/serve ./internal/kernels ./internal/session
 
 # Benchmark smoke: the S preset must run to completion and produce a valid
 # BENCH file. The result is discarded unless -bench-gate asked for the

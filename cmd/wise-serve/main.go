@@ -62,6 +62,7 @@ import (
 	"os"
 	"time"
 
+	"wise/internal/kernels"
 	"wise/internal/obs"
 	"wise/internal/resilience"
 	"wise/internal/resilience/faultinject"
@@ -184,8 +185,8 @@ func run() int {
 		return exitIO
 	}
 	// The resolved address (not the flag) so port 0 is usable by scripts.
-	fmt.Printf("wise-serve: listening on http://%s (%d models from %s)\n",
-		ln.Addr(), s.ModelCount(), *models)
+	fmt.Printf("wise-serve: listening on http://%s (%d models from %s, kernels %s)\n",
+		ln.Addr(), s.ModelCount(), *models, kernels.Path())
 
 	ctx, stop := resilience.SignalContext(context.Background())
 	defer stop()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"wise/internal/kernels"
 	"wise/internal/resilience"
 )
 
@@ -31,6 +32,10 @@ type Env struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Kernels names the SpMV kernels that produced the numbers: "avx2"
+	// for the vector kernels, "go" for the portable loops (kernels.Path).
+	// Reports from before it was recorded read "".
+	Kernels string `json:"kernels,omitempty"`
 }
 
 // CurrentEnv captures the running process's environment block.
@@ -41,6 +46,7 @@ func CurrentEnv() Env {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernels:    kernels.Path(),
 	}
 }
 
@@ -113,8 +119,8 @@ func ReadReport(path string) (*Report, error) {
 // order (the suite already emits groups contiguously).
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== bench suite %s (seed %d, schema %d, go %s, %s/%s, %d CPU, GOMAXPROCS %d)\n",
-		r.Preset, r.Seed, r.Schema, r.Env.GoVersion, r.Env.GOOS, r.Env.GOARCH, r.Env.NumCPU, r.Env.GOMAXPROCS)
+	fmt.Fprintf(&b, "== bench suite %s (seed %d, schema %d, go %s, %s/%s, %d CPU, GOMAXPROCS %d, kernels %s)\n",
+		r.Preset, r.Seed, r.Schema, r.Env.GoVersion, r.Env.GOOS, r.Env.GOARCH, r.Env.NumCPU, r.Env.GOMAXPROCS, r.Env.Kernels)
 	fmt.Fprintf(&b, "%-58s %6s %12s %12s %12s %10s\n", "benchmark", "runs", "min", "median", "p95", "allocs/op")
 	for _, res := range r.Results {
 		fmt.Fprintf(&b, "%-58s %6d %12s %12s %12s %10.1f\n",

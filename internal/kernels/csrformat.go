@@ -14,15 +14,26 @@ type CSRFormat struct {
 	M        *matrix.CSR
 	Sched    Sched
 	RowBlock int
+
+	// inRange is M when the build proved M's row pointers and column
+	// indices in range (csrInRange), the proof the vector row kernel reads
+	// on without bounds checks; nil, or a matrix M no longer is, sends the
+	// rows to the Go loop. M must not be modified after the build.
+	inRange *matrix.CSR
 }
 
 // BuildCSRFormat wraps a CSR matrix for scheduled execution. rowBlock <= 0
-// selects a default of 64 rows per unit.
+// selects a default of 64 rows per unit. On a host with the vector kernels
+// it checks the matrix's indices once, in O(rows + nnz).
 func BuildCSRFormat(m *matrix.CSR, sched Sched, rowBlock int) *CSRFormat {
 	if rowBlock <= 0 {
 		rowBlock = defaultRowBlock
 	}
-	return &CSRFormat{M: m, Sched: sched, RowBlock: rowBlock}
+	f := &CSRFormat{M: m, Sched: sched, RowBlock: rowBlock}
+	if useSIMD && csrInRange(m) {
+		f.inRange = m
+	}
+	return f
 }
 
 // SpMV computes y = A*x sequentially.
@@ -70,6 +81,8 @@ func (f *CSRFormat) spmvOn(t *team, y, x []float64) {
 // rowSpan computes y[i] = A[i,:]*x for rows [lo, hi). The row's column and
 // value spans are resliced into locals, so the inner loop reads no field of
 // the matrix; each row is still summed from its first nonzero to its last.
+// With useSIMD and the build's proof, the vector kernel sums the rows in
+// the same order.
 func (f *CSRFormat) rowSpan(y, x []float64, lo, hi int) {
 	m := f.M
 	// ColIdx values come from parsed matrix files; re-assert the x bound
@@ -78,6 +91,10 @@ func (f *CSRFormat) rowSpan(y, x []float64, lo, hi int) {
 		panic(fmt.Sprintf("kernels: x[%d] shorter than matrix columns %d", len(x), m.Cols))
 	}
 	rowPtr, colIdx, vals := m.RowPtr, m.ColIdx, m.Vals
+	if useSIMD && f.inRange == m {
+		rowSpanAVX2(y[lo:hi], x, rowPtr[lo:hi+1], colIdx, vals)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		rp, rq := rowPtr[i], rowPtr[i+1]
 		cols, vs := colIdx[rp:rq], vals[rp:rq]

@@ -11,12 +11,15 @@ import (
 
 // BenchmarkSpanUnrolledVsGeneric times the unrolled C=4 and C=8 chunk loops
 // against the generic loop at the same C, serially over whole segments, so
-// the fast paths in spanSpMV keep having to earn their place. Run with
+// the fast paths in spanSpMV keep having to earn their place. Both run as
+// Go loops; BenchmarkKernelPath times the vector kernels. Run with
 //
 //	go test -run '^$' -bench SpanUnrolledVsGeneric -count 6 ./internal/kernels
 //
 // and compare each unrolled row with the generic row beside it.
 func BenchmarkSpanUnrolledVsGeneric(b *testing.B) {
+	defer func(v bool) { useSIMD = v }(useSIMD)
+	useSIMD = false
 	rng := rand.New(rand.NewSource(1))
 	mats := []struct {
 		name string

@@ -50,9 +50,10 @@ type Segment struct {
 	// ColLo, ColHi delimit the segment's column-rank range [ColLo, ColHi).
 	ColLo, ColHi int32
 
-	// maxIdx is the largest ColIdx value, recorded at build time so the
-	// kernel can bounds-check the gathered vector in O(1) per chunk.
-	maxIdx int32
+	// maxIdx is the largest ColIdx value read as unsigned, so a negative
+	// index counts as too large; recorded at build time so the kernel can
+	// bounds-check the gathered vector in O(1) per span.
+	maxIdx uint32
 }
 
 // Chunks returns the number of chunks in the segment.
@@ -255,9 +256,7 @@ func buildSegment(work *matrix.CSR, method Method, cLo, cHi int32) Segment {
 		}
 	}
 	for _, ci := range seg.ColIdx {
-		if ci > seg.maxIdx {
-			seg.maxIdx = ci
-		}
+		seg.maxIdx = max(seg.maxIdx, uint32(ci))
 	}
 	return seg
 }
@@ -339,7 +338,8 @@ func (s *Segment) spanSpMV(c, k0, k1 int, y, xs []float64, add bool) {
 // checkBounds panics unless every packed column index addresses xs.
 // ColIdx values come from parsed matrix files via the build; the recorded
 // maximum makes the access range checkable before the inner loop instead
-// of faulting mid-kernel on corrupt input.
+// of faulting mid-kernel on corrupt input, and is the proof the vector
+// kernels gather on.
 func (s *Segment) checkBounds(xs []float64) {
 	if len(s.ColIdx) > 0 && int(s.maxIdx) >= len(xs) {
 		panic(fmt.Sprintf("kernels: packed column index %d out of range for x[%d]", s.maxIdx, len(xs)))
@@ -356,10 +356,15 @@ func store(y []float64, row int32, acc float64, add bool) {
 }
 
 // span4 is spanSpMV for C=4: position-outer, lane-inner, one accumulator
-// per lane, over the chunk's resliced Vals/ColIdx.
+// per lane, over the chunk's resliced Vals/ColIdx. With useSIMD the full
+// chunks run on vector lanes, and the Go loop takes what the vector kernel
+// left: a last partial chunk, or a chunk whose offsets or rows it refused.
 func (s *Segment) span4(k0, k1 int, y, xs []float64, add bool) {
 	s.checkBounds(xs)
 	rows := len(s.RowOrder)
+	if full := min(k1, rows/4); useSIMD && k0 < full {
+		k0 += span4AVX2(y, xs, s.Vals, s.ColIdx, s.ChunkOff[k0:full+1], s.RowOrder[k0*4:full*4], add)
+	}
 	for k := k0; k < k1; k++ {
 		lo, hi := int(s.ChunkOff[k])*4, int(s.ChunkOff[k+1])*4
 		vals := s.Vals[lo:hi]
@@ -392,6 +397,9 @@ func (s *Segment) span4(k0, k1 int, y, xs []float64, add bool) {
 func (s *Segment) span8(k0, k1 int, y, xs []float64, add bool) {
 	s.checkBounds(xs)
 	rows := len(s.RowOrder)
+	if full := min(k1, rows/8); useSIMD && k0 < full {
+		k0 += span8AVX2(y, xs, s.Vals, s.ColIdx, s.ChunkOff[k0:full+1], s.RowOrder[k0*8:full*8], add)
+	}
 	for k := k0; k < k1; k++ {
 		lo, hi := int(s.ChunkOff[k])*8, int(s.ChunkOff[k+1])*8
 		vals := s.Vals[lo:hi]

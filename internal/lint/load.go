@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -374,6 +375,16 @@ func (m *Module) parseDir(dir, importPath string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Only the files this GOOS/GOARCH builds: a package with
+		// per-architecture files (simd_amd64.go beside a !amd64 fallback)
+		// declares the same names in each.
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: reading build constraints of %s: %w", filepath.Join(dir, name), err)
+		}
+		if !match {
 			continue
 		}
 		full := filepath.Join(dir, name)

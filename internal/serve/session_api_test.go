@@ -286,23 +286,48 @@ func TestSpMVExecPanicAnswered500(t *testing.T) {
 	}
 }
 
-// TestSpMVOverflowAnsweredJSONError chains /spmv iterations until y
-// overflows to +Inf, which JSON cannot carry: the answer must be a non-200
-// with an error body that decodes, never a 200 with an empty body.
-func TestSpMVOverflowAnsweredJSONError(t *testing.T) {
+// TestSpMVNonFiniteAnswered422 holds /spmv to its rule for results JSON
+// cannot carry: a product whose y_norm is not finite is refused with 422, an
+// error naming the non-finite result, and a serve.requests_rejected count,
+// never a 5xx. It covers chained iterations that overflow to +Inf, an
+// inline body with an inf value, and the same overflow warm by fingerprint.
+func TestSpMVNonFiniteAnswered422(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	body := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e200\n2 2 1e200\n"
-	before := responsesUnencodable.Value()
-	status, _, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: body, Iterations: 4})
-	if status == http.StatusOK {
-		t.Fatalf("overflowed /spmv answered 200: body=%q", raw)
+	overflow := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e200\n2 2 1e200\n"
+	infValue := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 inf\n"
+	status, mr := postMatrix(t, ts.URL, []byte(overflow))
+	if status != http.StatusOK || mr.Fingerprint == "" {
+		t.Fatalf("upload: status=%d resp=%+v", status, mr)
 	}
-	var er errorResponse
-	if err := json.Unmarshal([]byte(raw), &er); err != nil || er.Error == "" {
-		t.Fatalf("overflowed /spmv: status=%d body=%q is not a JSON error (%v)", status, raw, err)
+	cases := []struct {
+		name string
+		req  spmvRequest
+	}{
+		{"overflow after 2 iterations", spmvRequest{Matrix: overflow, Iterations: 2}},
+		{"inf value", spmvRequest{Matrix: infValue}},
+		{"warm overflow", spmvRequest{Fingerprint: mr.Fingerprint, Iterations: 2}},
 	}
-	if got := responsesUnencodable.Value() - before; got != 1 {
-		t.Fatalf("serve.responses_unencodable moved by %d, want 1", got)
+	for _, tc := range cases {
+		rejected, unencodable := requestsRejected.Value(), responsesUnencodable.Value()
+		status, _, raw := postSpMV(t, ts.URL, tc.req)
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status=%d body=%q, want 422", tc.name, status, raw)
+		}
+		var er errorResponse
+		if err := json.Unmarshal([]byte(raw), &er); err != nil || !strings.Contains(er.Error, "not finite") {
+			t.Fatalf("%s: body=%q is not a JSON error naming the non-finite result (%v)", tc.name, raw, err)
+		}
+		if got := requestsRejected.Value() - rejected; got != 1 {
+			t.Errorf("%s: serve.requests_rejected moved by %d, want 1", tc.name, got)
+		}
+		if got := responsesUnencodable.Value() - unencodable; got != 0 {
+			t.Errorf("%s: serve.responses_unencodable moved by %d, want 0", tc.name, got)
+		}
+	}
+	// One iteration of the 1e200 diagonal leaves y finite, but its sum of
+	// squares overflows: the same rule refuses it, naming y_norm.
+	if status, _, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: overflow}); status != http.StatusUnprocessableEntity || !strings.Contains(raw, "y_norm = +Inf") {
+		t.Fatalf("one iteration: status=%d body=%q, want 422 naming y_norm", status, raw)
 	}
 }
 

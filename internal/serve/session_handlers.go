@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -299,6 +300,12 @@ func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loaded
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "serve: spmv: " + err.Error()})
 		return
 	}
+	yNorm := matrix.Norm2(y)
+	if math.IsInf(yNorm, 0) || math.IsNaN(yNorm) {
+		requestsRejected.Inc()
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: nonFinite(y, yNorm, req.Iterations)})
+		return
+	}
 	if pr.reason != "" {
 		requestsDegraded.Inc()
 	}
@@ -312,11 +319,23 @@ func (s *Server) execSpMV(ctx context.Context, w http.ResponseWriter, lm *loaded
 		Cols:        shape.Cols,
 		NNZ:         shape.NNZ,
 		Iterations:  req.Iterations,
-		YNorm:       matrix.Norm2(y),
+		YNorm:       yNorm,
 		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if shape.Rows <= spmvInlineRows {
 		resp.Y = y
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// nonFinite is the refusal of a product whose y_norm is not finite, which
+// JSON cannot carry: it names the first non-finite entry of y, or, when
+// every entry is finite, the norm that overflowed.
+func nonFinite(y []float64, yNorm float64, iters int) string {
+	for i, v := range y {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Sprintf("serve: spmv result is not finite: y[%d] = %v after %d iteration(s)", i, v, iters)
+		}
+	}
+	return fmt.Sprintf("serve: spmv result is not finite: y_norm = %v after %d iteration(s)", yNorm, iters)
 }

@@ -1,15 +1,13 @@
 package wise
 
 // One testing.B benchmark per table and figure of the paper's evaluation
-// (see DESIGN.md section 4 for the experiment index), plus wall-clock
-// benchmarks of the real Go SpMV kernels and the ablation benches DESIGN.md
-// calls out. The figure benchmarks drive internal/experiments and report the
+// (see DESIGN.md section 4 for the experiment index), plus the ablation
+// benches DESIGN.md calls out and a few wall-clock benchmarks. The figure benchmarks drive internal/experiments and report the
 // headline quantity of each figure as a custom metric, so `go test -bench .`
 // regenerates every result. Run cmd/wise-bench for the full printed tables.
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -171,75 +169,14 @@ func BenchmarkAblationFlatMemory(b *testing.B) {
 	}
 }
 
-// Wall-clock benchmarks of the real Go kernels: one per method family, on a
-// mid-size medium-skew matrix. These measure this host's actual SpMV
-// throughput (ns/op and bytes of matrix data touched per op), complementing
-// the cost-model numbers above.
+// Wall-clock benchmarks beside the figures: a CG solve, the Section 7
+// extension against CSR, and the cost model itself. The kernel, conversion,
+// extraction and selection cells live with their packages (BENCHMARKS.md).
 
 func benchMatrix() *matrix.CSR {
 	rng := rand.New(rand.NewSource(3))
 	m := gen.RMATRows(rng, 1<<14, 16, gen.MedSkew)
 	return gen.CapRowDegree(rng, m, m.NNZ()/500)
-}
-
-func BenchmarkKernels(b *testing.B) {
-	m := benchMatrix()
-	x := matrix.Iota(m.Cols)
-	y := make([]float64, m.Rows)
-	mach := machine.Scaled()
-	for _, method := range kernels.ModelSpace(mach) {
-		format := kernels.Build(m, method, mach.RowBlock)
-		b.Run(method.String(), func(b *testing.B) {
-			b.SetBytes(int64(m.NNZ()) * 12)
-			for i := 0; i < b.N; i++ {
-				format.SpMVParallel(y, x, 0)
-			}
-		})
-	}
-}
-
-// BenchmarkFormatConversion measures the real preprocessing (format build)
-// cost of each method family.
-func BenchmarkFormatConversion(b *testing.B) {
-	m := benchMatrix()
-	mach := machine.Scaled()
-	for _, method := range []kernels.Method{
-		{Kind: kernels.SELLPACK, C: 8, Sched: kernels.Dyn},
-		{Kind: kernels.SellCSigma, C: 8, Sigma: mach.SigmaValues()[1], Sched: kernels.Dyn},
-		{Kind: kernels.SellCR, C: 8, Sched: kernels.Dyn},
-		{Kind: kernels.LAV1Seg, C: 8, Sched: kernels.Dyn},
-		{Kind: kernels.LAV, C: 8, T: 0.7, Sched: kernels.Dyn},
-	} {
-		b.Run(method.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kernels.BuildSRVPack(m, method)
-			}
-		})
-	}
-}
-
-// BenchmarkFeatureExtraction measures the real Table 2 feature pass.
-func BenchmarkFeatureExtraction(b *testing.B) {
-	m := benchMatrix()
-	b.SetBytes(int64(m.NNZ()) * 12)
-	for i := 0; i < b.N; i++ {
-		ExtractFeatures(m)
-	}
-}
-
-// BenchmarkWorkerScaling measures real parallel scaling of the CSR kernel.
-func BenchmarkWorkerScaling(b *testing.B) {
-	m := benchMatrix()
-	x := matrix.Iota(m.Cols)
-	y := make([]float64, m.Rows)
-	for _, workers := range []int{1, 2, 4, 8} {
-		f := kernels.BuildCSRFormat(m, kernels.Dyn, 64)
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.SpMVParallel(y, x, workers)
-			}
-		})
-	}
 }
 
 // BenchmarkSolverCG measures a full conjugate-gradient solve through a

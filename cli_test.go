@@ -450,39 +450,52 @@ func TestCLITrainQuarantine(t *testing.T) {
 	}
 }
 
-// TestCLIBenchSuiteTrajectory is the BENCHMARKS.md workflow end to end:
-// list presets, run the S suite into a BENCH file, self-compare (exit 0),
-// compare against an injected regression (exit 1), and against a future
-// schema version (exit 2, naming the file).
+// TestCLIBenchSuiteTrajectory is the BENCHMARKS.md workflow end to end on
+// canned `go test -bench` output: convert it into a BENCH file, self-compare
+// (exit 0), compare against an injected regression (exit 1, naming the
+// row), and against a future schema version (exit 2, naming the file).
+// Output reporting a failure exits nonzero and writes no report.
 func TestCLIBenchSuiteTrajectory(t *testing.T) {
 	tmp := t.TempDir()
-
-	out := runCLI(t, "wise-bench", "-suite", "-list")
-	for _, want := range []string{"preset", "S", "M", "L", "paper", "benchmarks"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-list missing %q:\n%s", want, out)
+	convert := func(fixture, out string) (string, error) {
+		in, err := os.Open(filepath.Join("internal", "bench", "testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer in.Close()
+		cmd := exec.Command(filepath.Join(buildCLIs(t), "wise-bench"), "-o", out)
+		cmd.Stdin = in
+		got, err := cmd.CombinedOutput()
+		return string(got), err
+	}
+
+	failed := filepath.Join(tmp, "BENCH_fail.json")
+	if out, err := convert("gotest-fail.txt", failed); err == nil || !strings.Contains(out, "FAIL") {
+		t.Errorf("converting failed output: err=%v\n%s", err, out)
+	}
+	if _, err := os.Stat(failed); !os.IsNotExist(err) {
+		t.Errorf("failed output wrote a report (stat err %v)", err)
 	}
 
 	bench1 := filepath.Join(tmp, "BENCH_1.json")
-	out = runCLI(t, "wise-bench", "-suite", "S", "-time-scale", "0.02", "-o", bench1)
-	if !strings.Contains(out, "bench suite S") {
-		t.Errorf("suite run missing report header:\n%s", out)
+	out, err := convert("gotest.txt", bench1)
+	if err != nil {
+		t.Fatalf("wise-bench -o: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "4 benchmarks") {
+		t.Errorf("conversion missing report header:\n%s", out)
 	}
 	raw, err := os.ReadFile(bench1)
 	if err != nil {
-		t.Fatalf("suite did not write %s: %v", bench1, err)
+		t.Fatalf("conversion did not write %s: %v", bench1, err)
 	}
 	var rep map[string]any
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("BENCH file is not JSON: %v", err)
 	}
-	if rep["schema"] != float64(1) || rep["preset"] != "S" {
-		t.Errorf("BENCH header wrong: schema=%v preset=%v", rep["schema"], rep["preset"])
-	}
 	env, ok := rep["env"].(map[string]any)
-	if !ok || env["go_version"] == "" || env["gomaxprocs"] == nil {
-		t.Errorf("BENCH env block missing: %v", rep["env"])
+	if rep["schema"] != float64(2) || !ok || env["goos"] != "linux" || env["gomaxprocs"] != float64(2) || env["kernels"] == "" {
+		t.Errorf("BENCH header wrong: schema=%v env=%v", rep["schema"], rep["env"])
 	}
 
 	out, code := runCLIExit(t, nil, "wise-bench", "-compare", bench1, bench1)
@@ -493,10 +506,13 @@ func TestCLIBenchSuiteTrajectory(t *testing.T) {
 		t.Errorf("self-compare not clean:\n%s", out)
 	}
 
-	// Inject a 10x regression into the first result and expect the gate to trip.
+	// Inject a 10x regression into every round of the first row and expect
+	// the gate to trip.
 	results := rep["results"].([]any)
 	first := results[0].(map[string]any)
-	first["ns_median"] = first["ns_median"].(float64) * 10
+	for i, ns := range first["ns"].([]any) {
+		first["ns"].([]any)[i] = ns.(float64) * 10
+	}
 	tampered, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,10 @@
 //	wise-bench -v -metrics m.json   # live progress + per-stage metrics
 //	wise-bench -checkpoint run.ckpt # resumable labeling (RESILIENCE.md)
 //
-// It is also the performance-trajectory harness (BENCHMARKS.md):
+// It also converts and judges the package micro-benchmarks (BENCHMARKS.md):
 //
-//	wise-bench -suite S -o BENCH_1.json      # run a preset, persist the point
-//	wise-bench -list                         # presets, sizes, expected runtime
-//	wise-bench -compare old.json new.json    # diff two points; exit 1 on regression
+//	go test -run '^$' -bench . ./internal/kernels | wise-bench -o BENCH_6.json
+//	wise-bench -compare old.json new.json    # paired verdicts; exit 1 on regression
 //
 // The expensive labeling pass (cache-simulating cost model, 29 methods per
 // matrix) can be cached across runs with -save-labels/-load-labels. The
@@ -33,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,6 +41,7 @@ import (
 	"wise/internal/bench"
 	"wise/internal/experiments"
 	"wise/internal/gen"
+	"wise/internal/kernels"
 	"wise/internal/obs"
 	"wise/internal/perf"
 	"wise/internal/resilience"
@@ -72,12 +73,9 @@ func run() int {
 		loadLabels = flag.String("load-labels", "", "skip labeling and reuse a corpus saved with -save-labels")
 		checkpoint = flag.String("checkpoint", "", "labeling checkpoint file for resumable runs (see RESILIENCE.md)")
 
-		suite     = flag.String("suite", "", "run the benchmark suite with this preset (S, M, L, paper; see BENCHMARKS.md)")
-		out       = flag.String("o", "", "with -suite: write the BENCH_<n>.json report here")
-		list      = flag.Bool("list", false, "print the benchmark presets (matrix counts, expected runtime) and exit")
-		compare   = flag.Bool("compare", false, "compare two BENCH_*.json files (old new); exit 1 on regression")
-		threshold = flag.Float64("threshold", 0.20, "with -compare: relative median slowdown that counts as a regression")
-		timeScale = flag.Float64("time-scale", 1, "with -suite: multiply per-benchmark time budgets (0.1 = 10x faster smoke run)")
+		out       = flag.String("o", "", "read `go test -bench` output on stdin and write it as a BENCH_<n>.json report here")
+		compare   = flag.Bool("compare", false, "compare two BENCH_*.json files (old new) round by round; exit 1 on regression")
+		threshold = flag.Float64("threshold", bench.DefaultThreshold, "with -compare: relative change the per-round ratio quartiles must clear")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -101,17 +99,11 @@ func run() int {
 	defer stop()
 
 	// Harness modes (BENCHMARKS.md) run before the experiment pipeline.
-	// "-suite -list" and "-suite list" both reach the preset listing: flag
-	// parsing binds "-list" as -suite's value in the first spelling.
-	if *list || *suite == "list" || *suite == "-list" {
-		fmt.Print(bench.ListPresets())
-		return exitOK
-	}
 	if *compare {
 		return runCompare(flag.Args(), *threshold)
 	}
-	if *suite != "" {
-		return runSuiteMode(sigCtx, *suite, *out, *seed, *timeScale, *workers)
+	if *out != "" {
+		return runConvert(os.Stdin, *out)
 	}
 
 	ccfg := experiments.DefaultContextConfig()
@@ -289,42 +281,26 @@ func reportQuarantine(qs []perf.QuarantinedMatrix) {
 	}
 }
 
-// runSuiteMode runs the preset benchmark suite (BENCHMARKS.md): print the
-// report, optionally persist it as a BENCH_<n>.json trajectory point.
-func runSuiteMode(ctx context.Context, preset, out string, seed int64, timeScale float64, workers int) int {
-	if _, ok := bench.LookupPreset(preset); !ok {
-		fmt.Fprintf(os.Stderr, "wise-bench: unknown preset %q for -suite (have %s; -list shows details)\n",
-			preset, strings.Join(bench.PresetNames(), ", "))
-		return exitUsage
-	}
-	t0 := time.Now()
-	rep, err := bench.RunSuite(ctx, bench.SuiteConfig{
-		Preset:    preset,
-		Seed:      seed,
-		TimeScale: timeScale,
-		Workers:   workers,
-	})
+// runConvert reads `go test -bench` text and writes it as a BENCH report.
+// Output reporting a failure writes nothing and exits 1.
+func runConvert(in io.Reader, out string) int {
+	rep, err := bench.Parse(in)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wise-bench: %v\n", err)
-		if errors.Is(err, context.Canceled) {
-			return exitInterrupted
-		}
+		fmt.Fprintf(os.Stderr, "wise-bench: -o %s: %v\n", out, err)
 		return exitIO
 	}
-	fmt.Println(rep.String())
-	if out != "" {
-		if err := rep.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "wise-bench: -o %s: %v\n", out, err)
-			return exitIO
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d benchmark results to %s\n", len(rep.Results), out)
+	rep.Env.Kernels = kernels.Path()
+	if err := rep.WriteFile(out); err != nil {
+		fmt.Fprintf(os.Stderr, "wise-bench: -o %s: %v\n", out, err)
+		return exitIO
 	}
-	fmt.Fprintf(os.Stderr, "suite %s: %d benchmarks in %v\n", preset, len(rep.Results), time.Since(t0).Round(time.Millisecond))
+	fmt.Print(rep.String())
+	fmt.Fprintf(os.Stderr, "wrote %d benchmark rows to %s\n", len(rep.Results), out)
 	return exitOK
 }
 
-// runCompare diffs two BENCH_*.json trajectory points. Exit codes: 0 no
-// regression, 1 regression beyond the threshold, 2 usage or schema-version
+// runCompare pairs two BENCH_*.json reports round by round. Exit codes: 0
+// no row regressed, 1 some row regressed, 2 usage or schema-version
 // mismatch (the error names the offending file).
 func runCompare(args []string, threshold float64) int {
 	if len(args) != 2 {
@@ -339,15 +315,15 @@ func runCompare(args []string, threshold float64) int {
 	if err != nil {
 		return compareReadError(err)
 	}
-	cmp, err := bench.Compare(oldR, newR, bench.CompareOptions{Threshold: threshold})
+	cmp, err := bench.Compare(oldR, newR, threshold)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wise-bench: %v\n", err)
 		return exitUsage
 	}
 	fmt.Print(cmp.String())
-	if cmp.Regressed > 0 {
+	if n := cmp.Counts[bench.Regressed]; n > 0 {
 		fmt.Fprintf(os.Stderr, "wise-bench: %d benchmark(s) regressed beyond ±%.0f%% (%s -> %s)\n",
-			cmp.Regressed, threshold*100, args[0], args[1])
+			n, cmp.Threshold*100, args[0], args[1])
 		return exitIO
 	}
 	return exitOK

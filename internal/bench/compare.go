@@ -3,175 +3,142 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"wise/internal/stats"
 )
 
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// Threshold is the relative median slowdown that counts as a regression
-	// (0.20 = 20% slower). Wall-clock medians on shared CI hosts are noisy;
-	// anything inside the threshold is reported as within-noise, not failed.
-	Threshold float64
-	// FloorNs ignores benchmarks whose medians are both below this many
-	// nanoseconds: sub-microsecond timings are dominated by timer
-	// granularity and scheduler jitter, not by the code under test.
-	FloorNs float64
-}
+// DefaultThreshold is the relative change a row's ratio quartiles must
+// clear for a verdict other than same (0.20 = 20%).
+const DefaultThreshold = 0.20
 
-// DefaultCompareOptions returns the gate defaults: 20% threshold, 1µs floor.
-func DefaultCompareOptions() CompareOptions {
-	return CompareOptions{Threshold: 0.20, FloorNs: 1000}
-}
+// Verdict classifies one row of a paired comparison.
+type Verdict string
 
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.Threshold <= 0 {
-		o.Threshold = 0.20
-	}
-	if o.FloorNs < 0 {
-		o.FloorNs = 0
-	}
-	return o
-}
-
-// DeltaStatus classifies one benchmark's old-vs-new movement.
-type DeltaStatus string
-
-// Delta statuses.
+// Verdicts. Only Regressed fails the gate; Unresolved says the rounds
+// disagree too much to decide and is never fatal.
 const (
-	StatusOK        DeltaStatus = "ok"        // within noise (or under the floor)
-	StatusImproved  DeltaStatus = "improved"  // faster beyond the threshold
-	StatusRegressed DeltaStatus = "regressed" // slower beyond the threshold
-	StatusAdded     DeltaStatus = "added"     // only in the new report
-	StatusRemoved   DeltaStatus = "removed"   // only in the old report
+	Same       Verdict = "same"       // both ratio quartiles within ±threshold
+	Improved   Verdict = "improved"   // Q3 below 1−threshold
+	Regressed  Verdict = "regressed"  // Q1 above 1+threshold
+	Unresolved Verdict = "unresolved" // anything else, or rounds cannot be paired
 )
 
-// Delta is one benchmark's comparison row.
+// Delta is one row's paired comparison. Ratios are new/old ns/op of the
+// same round; Q1, Median and Q3 are their quartiles. Note says why a row
+// could not be paired.
 type Delta struct {
-	Name   string
-	Group  string
-	OldNs  float64 // old median; 0 when added
-	NewNs  float64 // new median; 0 when removed
-	Change float64 // (new-old)/old; 0 when added/removed
-	Status DeltaStatus
+	Pkg, Name      string
+	Rounds         int
+	Q1, Median, Q3 float64
+	Verdict        Verdict
+	Note           string
 }
 
-// Comparison is the outcome of diffing two reports.
+// Comparison is the outcome of pairing two reports.
 type Comparison struct {
-	OldEnv, NewEnv       Env
-	Threshold            float64
-	Deltas               []Delta
-	Compared             int // benchmarks present in both reports
-	Improved, Regressed  int
-	Added, Removed       int
-	EnvChanged           bool
-	PresetChanged        bool
-	OldPreset, NewPreset string
+	OldEnv, NewEnv Env
+	Threshold      float64
+	Deltas         []Delta
+	Counts         map[Verdict]int
 }
 
-// Compare diffs two reports benchmark-by-benchmark on the median. Reports
-// must share a schema version (ReadReport already pins files to the tool's
-// version; the check here guards programmatic callers). Benchmarks present
-// on one side only are reported as added/removed, which never fails the
-// gate — shape changes are visible, not fatal.
-func Compare(oldR, newR *Report, opts CompareOptions) (*Comparison, error) {
+// Compare pairs sample i of every old row with sample i of the new row of
+// the same package and name, and judges each row on the quartiles of the
+// per-round ratios. Rows whose sample counts differ, or that exist on one
+// side only, are unresolved. A non-positive threshold means
+// DefaultThreshold.
+func Compare(oldR, newR *Report, threshold float64) (*Comparison, error) {
 	if oldR.Schema != newR.Schema {
 		return nil, fmt.Errorf("bench: %w: comparing schema %d against %d", ErrSchema, oldR.Schema, newR.Schema)
 	}
-	opts = opts.withDefaults()
-	c := &Comparison{
-		OldEnv: oldR.Env, NewEnv: newR.Env,
-		Threshold:     opts.Threshold,
-		EnvChanged:    oldR.Env != newR.Env,
-		PresetChanged: oldR.Preset != newR.Preset,
-		OldPreset:     oldR.Preset, NewPreset: newR.Preset,
+	if threshold <= 0 {
+		threshold = DefaultThreshold
 	}
-	newByName := make(map[string]*Result, len(newR.Results))
+	c := &Comparison{
+		OldEnv: oldR.Env, NewEnv: newR.Env, Threshold: threshold,
+		Deltas: make([]Delta, 0, len(oldR.Results)+len(newR.Results)),
+		Counts: make(map[Verdict]int, 4),
+	}
+	newByKey := make(map[string]*Result, len(newR.Results))
 	for i := range newR.Results {
-		newByName[newR.Results[i].Name] = &newR.Results[i]
+		newByKey[newR.Results[i].key()] = &newR.Results[i]
 	}
 	matched := make(map[string]bool, len(oldR.Results))
-	c.Deltas = make([]Delta, 0, len(oldR.Results)+len(newR.Results))
 	for i := range oldR.Results {
 		o := &oldR.Results[i]
-		n, ok := newByName[o.Name]
-		if !ok {
-			c.Removed++
-			c.Deltas = append(c.Deltas, Delta{Name: o.Name, Group: o.Group, OldNs: o.NsMedian, Status: StatusRemoved})
+		n := newByKey[o.key()]
+		if n == nil {
+			c.add(Delta{Pkg: o.Pkg, Name: o.Name, Verdict: Unresolved, Note: "only in old"})
 			continue
 		}
-		matched[o.Name] = true
-		c.Compared++
-		c.Deltas = append(c.Deltas, classify(o, n, opts))
+		matched[o.key()] = true
+		c.add(pair(o, n, threshold))
 	}
 	for i := range newR.Results {
-		n := &newR.Results[i]
-		if !matched[n.Name] {
-			c.Added++
-			c.Deltas = append(c.Deltas, Delta{Name: n.Name, Group: n.Group, NewNs: n.NsMedian, Status: StatusAdded})
-		}
-	}
-	for _, d := range c.Deltas {
-		switch d.Status {
-		case StatusImproved:
-			c.Improved++
-		case StatusRegressed:
-			c.Regressed++
+		if n := &newR.Results[i]; !matched[n.key()] {
+			c.add(Delta{Pkg: n.Pkg, Name: n.Name, Verdict: Unresolved, Note: "only in new"})
 		}
 	}
 	return c, nil
 }
 
-// classify turns one matched benchmark pair into a Delta.
-func classify(o, n *Result, opts CompareOptions) Delta {
-	d := Delta{Name: o.Name, Group: o.Group, OldNs: o.NsMedian, NewNs: n.NsMedian, Status: StatusOK}
-	if o.NsMedian <= 0 {
+// add appends one row and counts its verdict.
+func (c *Comparison) add(d Delta) {
+	c.Deltas = append(c.Deltas, d)
+	c.Counts[d.Verdict]++
+}
+
+// pair judges one row present in both reports.
+func pair(o, n *Result, threshold float64) Delta {
+	d := Delta{Pkg: o.Pkg, Name: o.Name, Rounds: len(o.Ns), Verdict: Unresolved}
+	if len(o.Ns) != len(n.Ns) || len(o.Ns) == 0 {
+		d.Note = fmt.Sprintf("%d old samples, %d new", len(o.Ns), len(n.Ns))
 		return d
 	}
-	d.Change = (n.NsMedian - o.NsMedian) / o.NsMedian
-	if o.NsMedian < opts.FloorNs && n.NsMedian < opts.FloorNs {
-		return d // both under the noise floor: never judged
+	ratios := make([]float64, len(o.Ns))
+	for i, ns := range o.Ns {
+		if ns <= 0 {
+			d.Note = "non-positive old sample"
+			return d
+		}
+		ratios[i] = n.Ns[i] / ns
 	}
+	d.Q1 = stats.Percentile(ratios, 25)
+	d.Median = stats.Percentile(ratios, 50)
+	d.Q3 = stats.Percentile(ratios, 75)
 	switch {
-	case d.Change > opts.Threshold:
-		d.Status = StatusRegressed
-	case d.Change < -opts.Threshold:
-		d.Status = StatusImproved
+	case d.Q1 > 1+threshold:
+		d.Verdict = Regressed
+	case d.Q3 < 1-threshold:
+		d.Verdict = Improved
+	case d.Q1 >= 1-threshold && d.Q3 <= 1+threshold:
+		d.Verdict = Same
 	}
 	return d
 }
 
-// String renders the comparison: one row per benchmark that moved (or
-// appeared/disappeared), then a summary line. Within-noise benchmarks are
-// counted, not listed.
+// String renders every row whose verdict is not same, then a summary line.
 func (c *Comparison) String() string {
 	var b strings.Builder
-	if c.PresetChanged {
-		fmt.Fprintf(&b, "note: presets differ (%s vs %s); only shared benchmarks are compared\n", c.OldPreset, c.NewPreset)
+	if c.OldEnv != c.NewEnv {
+		fmt.Fprintf(&b, "note: environments differ (old: %+v; new: %+v)\n", c.OldEnv, c.NewEnv)
 	}
-	if c.EnvChanged {
-		fmt.Fprintf(&b, "note: environments differ (old: %+v; new: %+v); absolute deltas may reflect the host, not the code\n", c.OldEnv, c.NewEnv)
-	}
-	rows := 0
+	header := false
 	for _, d := range c.Deltas {
-		if d.Status == StatusOK {
+		if d.Verdict == Same {
 			continue
 		}
-		if rows == 0 {
-			fmt.Fprintf(&b, "%-58s %12s %12s %9s  %s\n", "benchmark", "old", "new", "delta", "status")
+		if !header {
+			fmt.Fprintf(&b, "%-72s %6s %7s %7s %7s  %s\n", "benchmark", "rounds", "Q1", "median", "Q3", "verdict")
+			header = true
 		}
-		rows++
-		fmt.Fprintf(&b, "%-58s %12s %12s %9s  %s\n",
-			d.Name, fmtNs(d.OldNs), fmtNs(d.NewNs), fmtChange(d), d.Status)
+		if d.Note != "" {
+			fmt.Fprintf(&b, "%-72s %6d %7s %7s %7s  %s (%s)\n", d.Pkg+" "+d.Name, d.Rounds, "—", "—", "—", d.Verdict, d.Note)
+			continue
+		}
+		fmt.Fprintf(&b, "%-72s %6d %7.3f %7.3f %7.3f  %s\n", d.Pkg+" "+d.Name, d.Rounds, d.Q1, d.Median, d.Q3, d.Verdict)
 	}
-	fmt.Fprintf(&b, "compared %d benchmarks: %d regressed, %d improved, %d within noise (threshold ±%.0f%%), %d added, %d removed\n",
-		c.Compared, c.Regressed, c.Improved, c.Compared-c.Regressed-c.Improved,
-		c.Threshold*100, c.Added, c.Removed)
+	fmt.Fprintf(&b, "compared %d rows (new/old ns per round, threshold ±%.0f%%): %d regressed, %d improved, %d same, %d unresolved\n",
+		len(c.Deltas), c.Threshold*100, c.Counts[Regressed], c.Counts[Improved], c.Counts[Same], c.Counts[Unresolved])
 	return b.String()
-}
-
-// fmtChange renders a delta's relative change column.
-func fmtChange(d Delta) string {
-	if d.Status == StatusAdded || d.Status == StatusRemoved {
-		return "—"
-	}
-	return fmt.Sprintf("%+.1f%%", d.Change*100)
 }

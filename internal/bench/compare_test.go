@@ -2,127 +2,108 @@ package bench
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// readFixture loads a golden report from testdata.
-func readFixture(t *testing.T, name string) *Report {
-	t.Helper()
-	r, err := ReadReport(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatalf("reading fixture %s: %v", name, err)
-	}
-	return r
+// report builds a schema-current report from rows.
+func report(rows ...Result) *Report {
+	return &Report{Schema: SchemaVersion, Results: rows}
 }
 
-// deltaByName finds one comparison row.
-func deltaByName(t *testing.T, c *Comparison, name string) Delta {
-	t.Helper()
-	for _, d := range c.Deltas {
-		if d.Name == name {
-			return d
-		}
-	}
-	t.Fatalf("no delta named %q in %+v", name, c.Deltas)
-	return Delta{}
+// row builds one row of package p with the given ns/op samples.
+func sampleRow(name string, ns ...float64) Result {
+	return Result{Pkg: "p", Name: name, Ns: ns}
 }
 
-func TestCompareGoldenImprovement(t *testing.T) {
-	c, err := Compare(readFixture(t, "BENCH_old.json"), readFixture(t, "BENCH_improved.json"), DefaultCompareOptions())
-	if err != nil {
-		t.Fatal(err)
+// scaled returns ns with sample i multiplied by f[i].
+func scaled(ns []float64, f ...float64) []float64 {
+	out := make([]float64, len(ns))
+	for i := range ns {
+		out[i] = ns[i] * f[i]
 	}
-	if c.Regressed != 0 || c.Improved != 1 {
-		t.Fatalf("regressed=%d improved=%d, want 0/1", c.Regressed, c.Improved)
-	}
-	d := deltaByName(t, c, "kernels/a/CSR[Dyn]/serial")
-	if d.Status != StatusImproved {
-		t.Errorf("kernel delta status = %s, want improved (−40%%)", d.Status)
-	}
-	// micro/tiny moved +80% but both medians sit under the 1µs noise floor:
-	// timer granularity, never a verdict.
-	if d := deltaByName(t, c, "micro/tiny"); d.Status != StatusOK {
-		t.Errorf("sub-floor benchmark judged %s, want ok", d.Status)
-	}
-	// convert moved +5%, inside the 20% threshold.
-	if d := deltaByName(t, c, "convert/a/SELLPACK[c=8,Dyn]"); d.Status != StatusOK {
-		t.Errorf("within-noise benchmark judged %s, want ok", d.Status)
-	}
+	return out
 }
 
-func TestCompareGoldenRegression(t *testing.T) {
-	c, err := Compare(readFixture(t, "BENCH_old.json"), readFixture(t, "BENCH_regressed.json"), DefaultCompareOptions())
-	if err != nil {
-		t.Fatal(err)
+// TestCompareVerdicts is the table of paired verdicts: each case pairs one
+// old row with one new row round by round.
+func TestCompareVerdicts(t *testing.T) {
+	old := []float64{100, 120, 90, 110, 100, 95}
+	cases := []struct {
+		name     string
+		old, new *Report
+		want     map[string]Verdict
+	}{
+		{"same", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 1.05, 0.95, 1.1, 1, 0.98, 1.02)...)),
+			map[string]Verdict{"a": Same}},
+		{"improved", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 0.5, 0.55, 0.6, 0.5, 0.85, 0.5)...)),
+			map[string]Verdict{"a": Improved}},
+		{"regressed", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 1.5, 1.4, 1.6, 1.5, 0.9, 1.5)...)),
+			map[string]Verdict{"a": Regressed}},
+		// Q1 0.7 and Q3 1.375: the rounds straddle both bounds.
+		{"unresolved", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 0.5, 0.6, 1, 1, 1.5, 2)...)),
+			map[string]Verdict{"a": Unresolved}},
+		// The median alone crosses a bound; a quartile does not.
+		{"slower median, Q1 inside", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 1, 1.1, 1.3, 1.3, 1.4, 1.5)...)),
+			map[string]Verdict{"a": Unresolved}},
+		{"faster median, Q3 inside", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 1, 0.9, 0.7, 0.7, 0.6, 0.5)...)),
+			map[string]Verdict{"a": Unresolved}},
+		{"one side only", report(sampleRow("a", old...)), report(sampleRow("b", old...)),
+			map[string]Verdict{"a": Unresolved, "b": Unresolved}},
+		// Rounds cannot be paired, even though every new sample is 3x.
+		{"mismatched sample counts", report(sampleRow("a", old...)), report(sampleRow("a", scaled(old[:5], 3, 3, 3, 3, 3)...)),
+			map[string]Verdict{"a": Unresolved}},
 	}
-	if c.Regressed != 1 {
-		t.Fatalf("Regressed = %d, want 1", c.Regressed)
-	}
-	d := deltaByName(t, c, "kernels/a/CSR[Dyn]/serial")
-	if d.Status != StatusRegressed {
-		t.Errorf("status = %s, want regressed (+50%%)", d.Status)
-	}
-	if d.Change < 0.49 || d.Change > 0.51 {
-		t.Errorf("Change = %v, want ~0.50", d.Change)
-	}
-	if !strings.Contains(c.String(), "regressed") {
-		t.Errorf("String() does not surface the regression:\n%s", c.String())
-	}
-}
-
-func TestCompareGoldenWithinNoise(t *testing.T) {
-	c, err := Compare(readFixture(t, "BENCH_old.json"), readFixture(t, "BENCH_noise.json"), DefaultCompareOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Regressed != 0 || c.Improved != 0 {
-		t.Fatalf("noise run judged: regressed=%d improved=%d", c.Regressed, c.Improved)
-	}
-	if c.Compared != 3 {
-		t.Errorf("Compared = %d, want 3", c.Compared)
-	}
-}
-
-func TestCompareGoldenAddedRemoved(t *testing.T) {
-	c, err := Compare(readFixture(t, "BENCH_old.json"), readFixture(t, "BENCH_reshaped.json"), DefaultCompareOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Added != 1 || c.Removed != 1 {
-		t.Fatalf("added=%d removed=%d, want 1/1", c.Added, c.Removed)
-	}
-	// Shape changes are visible but never fail the gate.
-	if c.Regressed != 0 {
-		t.Errorf("added/removed counted as regression: %d", c.Regressed)
-	}
-	if d := deltaByName(t, c, "features/b/extract"); d.Status != StatusAdded {
-		t.Errorf("new benchmark status = %s, want added", d.Status)
-	}
-	if d := deltaByName(t, c, "micro/tiny"); d.Status != StatusRemoved {
-		t.Errorf("dropped benchmark status = %s, want removed", d.Status)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Compare(tc.old, tc.new, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Deltas) != len(tc.want) {
+				t.Fatalf("%d rows, want %d: %+v", len(c.Deltas), len(tc.want), c.Deltas)
+			}
+			for _, d := range c.Deltas {
+				if d.Verdict != tc.want[d.Name] {
+					t.Errorf("%s: verdict %s (Q1 %.3f, median %.3f, Q3 %.3f, %s), want %s",
+						d.Name, d.Verdict, d.Q1, d.Median, d.Q3, d.Note, tc.want[d.Name])
+				}
+			}
+			s := c.String()
+			if !strings.Contains(s, "compared") {
+				t.Errorf("String() lacks the summary line:\n%s", s)
+			}
+			for name, v := range tc.want {
+				if v != Same && !strings.Contains(s, "p "+name) {
+					t.Errorf("String() does not list row %s (%s):\n%s", name, v, s)
+				}
+			}
+		})
 	}
 }
 
 func TestCompareSchemaMismatch(t *testing.T) {
-	old := readFixture(t, "BENCH_old.json")
-	other := readFixture(t, "BENCH_noise.json")
-	other.Schema = 2
-	_, err := Compare(old, other, DefaultCompareOptions())
-	if !errors.Is(err, ErrSchema) {
+	other := report(sampleRow("a", 1))
+	other.Schema = 1
+	if _, err := Compare(report(sampleRow("a", 1)), other, 0); !errors.Is(err, ErrSchema) {
 		t.Fatalf("cross-schema compare error = %v, want ErrSchema", err)
 	}
 }
 
 func TestCompareCustomThreshold(t *testing.T) {
-	// At a 4% threshold the +10% kernel move in the noise fixture regresses
-	// and the −5% convert move counts as an improvement.
-	c, err := Compare(readFixture(t, "BENCH_old.json"), readFixture(t, "BENCH_noise.json"), CompareOptions{Threshold: 0.04})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Regressed != 1 || c.Improved != 1 {
-		t.Fatalf("at 4%%: regressed=%d improved=%d, want 1/1", c.Regressed, c.Improved)
+	// Every round 10% slower: same at the default 20%, regressed at 4%.
+	old := []float64{100, 200, 300, 400, 500, 600}
+	oldR, newR := report(sampleRow("a", old...)), report(sampleRow("a", scaled(old, 1.1, 1.1, 1.1, 1.1, 1.1, 1.1)...))
+	for _, tc := range []struct {
+		threshold float64
+		want      Verdict
+	}{{0, Same}, {0.04, Regressed}} {
+		c, err := Compare(oldR, newR, tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Deltas[0].Verdict; got != tc.want || c.Counts[tc.want] != 1 {
+			t.Errorf("threshold %v: verdict %s, want %s", tc.threshold, got, tc.want)
+		}
 	}
 }

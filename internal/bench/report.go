@@ -1,3 +1,12 @@
+// Package bench turns the package micro-benchmarks into BENCH_*.json
+// reports and judges two reports against each other (BENCHMARKS.md).
+//
+// The benchmarks themselves are ordinary testing.B functions in the
+// packages they time; `go test -bench` output is the only way they are
+// run. Parse converts that text into a schema-versioned Report, one row per
+// benchmark with every sample kept in input order, and Compare pairs the
+// samples of two reports round by round, so a verdict rests on the spread
+// of per-round ratios instead of on two medians taken at different times.
 package bench
 
 import (
@@ -5,83 +14,61 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"wise/internal/kernels"
 	"wise/internal/resilience"
 )
 
 // SchemaVersion is the BENCH_*.json schema this tool writes and reads. It
 // bumps only when the Report shape changes incompatibly; the comparator
-// refuses cross-version comparisons (exit 2 in the CLI) instead of
-// mis-reading old trajectory points.
-const SchemaVersion = 1
+// refuses other versions (exit 2 in the CLI) instead of mis-reading old
+// trajectory points. Schema 1 was the removed preset suite's shape.
+const SchemaVersion = 2
 
 // ErrSchema marks a BENCH file whose schema version this tool cannot read.
 var ErrSchema = errors.New("unsupported BENCH schema version")
 
-// Env is the environment block of a report: everything about the host that
-// legitimately moves the numbers. Two reports are comparable in spirit when
-// their Env matches; the comparator prints both either way.
+// Env is the environment block of a report: the host facts that move the
+// numbers. The comparator prints both blocks when they differ.
 type Env struct {
-	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
+	CPU        string `json:"cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Kernels names the SpMV kernels that produced the numbers: "avx2"
 	// for the vector kernels, "go" for the portable loops (kernels.Path).
-	// Reports from before it was recorded read "".
 	Kernels string `json:"kernels,omitempty"`
 }
 
-// CurrentEnv captures the running process's environment block.
-func CurrentEnv() Env {
-	return Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Kernels:    kernels.Path(),
-	}
+// Result is one benchmark's row. Ns holds every sample's ns/op in input
+// order, so sample i of two reports taken by alternating rounds belong to
+// the same round. Units holds the median of every other unit the
+// benchmark reported: B/op and allocs/op from ReportAllocs, MB/s from
+// SetBytes, and custom units such as spmv/op or us/product.
+type Result struct {
+	Pkg      string             `json:"pkg"`
+	Name     string             `json:"name"`
+	Ns       []float64          `json:"ns"`
+	NsMin    float64            `json:"ns_min"`
+	NsMedian float64            `json:"ns_median"`
+	NsP95    float64            `json:"ns_p95"`
+	Units    map[string]float64 `json:"units,omitempty"`
 }
 
-// Report is one suite run: the preset and seed that determine the benchmark
-// list, the environment block, and one Result per benchmark. Persisted as
-// BENCH_<n>.json (see BENCHMARKS.md for the trajectory contract).
+// key identifies a row across reports.
+func (r *Result) key() string { return r.Pkg + " " + r.Name }
+
+// Report is one converted `go test -bench` run, persisted as
+// BENCH_<n>.json.
 type Report struct {
-	Schema    int      `json:"schema"`
-	Preset    string   `json:"preset"`
-	Seed      int64    `json:"seed"`
-	TimeScale float64  `json:"time_scale"`
-	TakenAt   string   `json:"taken_at"` // RFC3339; informational, never compared
-	Env       Env      `json:"env"`
-	Results   []Result `json:"results"`
+	Schema  int      `json:"schema"`
+	Env     Env      `json:"env"`
+	Results []Result `json:"results"`
 }
 
-// stamp fills the informational timestamp. Wall-clock never feeds anything
-// but this display field.
-func (r *Report) stamp() {
-	r.TakenAt = time.Now().UTC().Format(time.RFC3339)
-}
-
-// Find returns the result with the given benchmark name, or nil.
-func (r *Report) Find(name string) *Result {
-	for i := range r.Results {
-		if r.Results[i].Name == name {
-			return &r.Results[i]
-		}
-	}
-	return nil
-}
-
-// WriteFile atomically persists the report as indented JSON (temp + fsync +
-// rename via internal/resilience, so a crash never leaves a truncated
-// trajectory point).
+// WriteFile atomically persists the report as indented JSON, so a crash
+// never leaves a truncated trajectory point.
 func (r *Report) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -115,17 +102,16 @@ func ReadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// String renders the report as an aligned text table, grouped in result
-// order (the suite already emits groups contiguously).
+// String renders the report as an aligned text table in row order.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== bench suite %s (seed %d, schema %d, go %s, %s/%s, %d CPU, GOMAXPROCS %d, kernels %s)\n",
-		r.Preset, r.Seed, r.Schema, r.Env.GoVersion, r.Env.GOOS, r.Env.GOARCH, r.Env.NumCPU, r.Env.GOMAXPROCS, r.Env.Kernels)
-	fmt.Fprintf(&b, "%-58s %6s %12s %12s %12s %10s\n", "benchmark", "runs", "min", "median", "p95", "allocs/op")
-	for _, res := range r.Results {
-		fmt.Fprintf(&b, "%-58s %6d %12s %12s %12s %10.1f\n",
-			res.Name, res.Runs,
-			fmtNs(res.NsMin), fmtNs(res.NsMedian), fmtNs(res.NsP95), res.AllocsPerOp)
+	fmt.Fprintf(&b, "== %d benchmarks (schema %d, %s/%s, %s, GOMAXPROCS %d, kernels %s)\n",
+		len(r.Results), r.Schema, r.Env.GOOS, r.Env.GOARCH, r.Env.CPU, r.Env.GOMAXPROCS, r.Env.Kernels)
+	fmt.Fprintf(&b, "%-64s %4s %12s %12s %12s\n", "benchmark", "n", "min", "median", "p95")
+	for i := range r.Results {
+		res := &r.Results[i]
+		fmt.Fprintf(&b, "%-64s %4d %12s %12s %12s\n",
+			res.key(), len(res.Ns), fmtNs(res.NsMin), fmtNs(res.NsMedian), fmtNs(res.NsP95))
 	}
 	return b.String()
 }
@@ -141,38 +127,4 @@ func fmtNs(ns float64) string {
 	default:
 		return d.Round(time.Nanosecond).String()
 	}
-}
-
-// Groups returns the distinct result groups in first-appearance order.
-func (r *Report) Groups() []string {
-	seen := make(map[string]bool, 8)
-	out := make([]string, 0, 8)
-	for _, res := range r.Results {
-		if !seen[res.Group] {
-			seen[res.Group] = true
-			out = append(out, res.Group)
-		}
-	}
-	return out
-}
-
-// GroupMedianSeconds sums the median time of every benchmark per group —
-// the per-stage cost table EXPERIMENTS.md derives from a suite run.
-func (r *Report) GroupMedianSeconds() map[string]float64 {
-	out := make(map[string]float64, 8)
-	for _, res := range r.Results {
-		out[res.Group] += res.NsMedian / 1e9
-	}
-	return out
-}
-
-// sortedResultNames returns all benchmark names, sorted — the shape
-// fingerprint used by determinism tests and the comparator's matching.
-func sortedResultNames(rs []Result) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.Name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -11,38 +11,24 @@ import (
 	"wise/internal/matrix"
 )
 
-// benchFamily is one matrix of benchFamilies as a MatrixMarket body.
+// benchFamily is one matrix of gen.WarmFamilies as a MatrixMarket body.
 type benchFamily struct {
 	name string
 	body []byte
 }
 
-// benchFamilies are the 2^13-row internal/gen families of
-// BenchmarkReadMatrixMarket in internal/matrix.
+// benchFamilies are the 2^13-row gen.WarmFamilies, written as the bodies a
+// stateless /predict uploads.
 func benchFamilies(tb testing.TB) []benchFamily {
 	tb.Helper()
-	const rows = 1 << 13
-	var out []benchFamily
-	for _, tc := range []struct {
-		name string
-		m    func(*rand.Rand) *matrix.CSR
-	}{
-		{"rmat_d8", func(rng *rand.Rand) *matrix.CSR {
-			m := gen.RMATRows(rng, rows, 8, gen.MedSkew)
-			return gen.CapRowDegree(rng, m, max(32, m.NNZ()/500))
-		}},
-		{"rgg_d16", func(rng *rand.Rand) *matrix.CSR { return gen.RGG(rng, rows, 16) }},
-		{"stencil9", func(*rand.Rand) *matrix.CSR { return gen.Stencil2D(90, 91, true) }},
-		{"banded_7", func(rng *rand.Rand) *matrix.CSR {
-			return gen.Banded(rng, rows, []int{-3, -2, -1, 0, 1, 2, 3})
-		}},
-		{"powerlaw_256", func(rng *rand.Rand) *matrix.CSR { return gen.PowerLawRows(rng, rows, 2.1, 256) }},
-	} {
+	fams := gen.WarmFamilies(1 << 13)
+	out := make([]benchFamily, 0, len(fams))
+	for _, fam := range fams {
 		var body bytes.Buffer
-		if err := matrix.WriteMatrixMarket(&body, tc.m(rand.New(rand.NewSource(1)))); err != nil {
+		if err := matrix.WriteMatrixMarket(&body, fam.New(rand.New(rand.NewSource(1)))); err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, benchFamily{tc.name, body.Bytes()})
+		out = append(out, benchFamily{fam.Name, body.Bytes()})
 	}
 	return out
 }

@@ -26,16 +26,16 @@ func BenchmarkIterate(b *testing.B) {
 		{Kind: LAV, C: 4, T: 0.7, Sched: Dyn},
 	}
 	for _, scale := range []int{13, 15} {
-		fams := warmFamilies(scale)
+		fams := gen.WarmFamilies(1 << scale)
 		if scale == 13 {
-			fams = append(fams, benchFamily{"stencil5", func(*rand.Rand) *matrix.CSR { return gen.Stencil2D(1<<6, 1<<7, false) }})
+			fams = append(fams, gen.Family{Name: "stencil5", New: func(*rand.Rand) *matrix.CSR { return gen.Stencil2D(1<<6, 1<<7, false) }})
 		}
 		for _, fam := range fams {
-			m := fam.m(rand.New(rand.NewSource(1)))
+			m := fam.New(rand.New(rand.NewSource(1)))
 			x := matrix.Ones(m.Cols)
 			for _, method := range methods {
 				f := Build(m, method, 0)
-				b.Run(fmt.Sprintf("s%d/%s/%s", scale, fam.name, method), func(b *testing.B) {
+				b.Run(fmt.Sprintf("s%d/%s/%s", scale, fam.Name, method), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if _, err := Iterate(context.Background(), f, m.Rows, x, iters, workers); err != nil {
 							b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wise/internal/gen"
 	"wise/internal/matrix"
 )
 
@@ -34,8 +35,8 @@ func BenchmarkKernelPath(b *testing.B) {
 	}
 	defer func(v bool) { useSIMD = v }(useSIMD)
 	for _, scale := range []int{13, 15} {
-		for _, fam := range warmFamilies(scale) {
-			m := fam.m(rand.New(rand.NewSource(1)))
+		for _, fam := range gen.WarmFamilies(1 << scale) {
+			m := fam.New(rand.New(rand.NewSource(1)))
 			x, y := matrix.Ones(m.Cols), make([]float64, m.Rows)
 			for _, method := range methods {
 				useSIMD = hasAVX2
@@ -45,13 +46,13 @@ func BenchmarkKernelPath(b *testing.B) {
 					if simd {
 						name = "avx2"
 					}
-					b.Run(fmt.Sprintf("serial/s%d/%s/%s/%s", scale, fam.name, method, name), func(b *testing.B) {
+					b.Run(fmt.Sprintf("serial/s%d/%s/%s/%s", scale, fam.Name, method, name), func(b *testing.B) {
 						useSIMD = simd
 						for i := 0; i < b.N; i++ {
 							f.SpMV(y, x)
 						}
 					})
-					b.Run(fmt.Sprintf("chain/s%d/%s/%s/%s", scale, fam.name, method, name), func(b *testing.B) {
+					b.Run(fmt.Sprintf("chain/s%d/%s/%s/%s", scale, fam.Name, method, name), func(b *testing.B) {
 						useSIMD = simd
 						for i := 0; i < b.N; i++ {
 							if _, err := Iterate(context.Background(), f, m.Rows, x, iters, workers); err != nil {

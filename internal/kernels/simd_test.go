@@ -137,8 +137,8 @@ func TestSIMDMatchesGoBits(t *testing.T) {
 		"specials-wide": specialCSR(rng, 61, 400, 16),
 		"skewed":        gen.RMAT(rng, 8, 8, gen.LowLoc),
 	}
-	for _, fam := range warmFamilies(10) {
-		ms[fam.name] = fam.m(rng)
+	for _, fam := range gen.WarmFamilies(1 << 10) {
+		ms[fam.Name] = fam.New(rng)
 	}
 	twoSegments := 0
 	for name, m := range ms {

@@ -100,8 +100,8 @@ func TestSRVPackInverse(t *testing.T) {
 	if testing.Short() {
 		scale = 10
 	}
-	for _, fam := range warmFamilies(scale) {
-		ms[fam.name] = fam.m(rng)
+	for _, fam := range gen.WarmFamilies(1 << scale) {
+		ms[fam.Name] = fam.New(rng)
 	}
 	twoSeg := 0
 	for name, m := range ms {

@@ -25,9 +25,9 @@ var DeterminismAnalyzer = &Analyzer{
 var deterministicScopes = map[string]bool{
 	"gen": true, "ml": true, "features": true,
 	"core": true, "costmodel": true, "experiments": true,
-	// bench: a suite's benchmark list and matrix corpus must be functions of
-	// the preset seed alone (BENCHMARKS.md); wall-clock may only be measured,
-	// never fed back into shape or seeds.
+	// bench: the same `go test -bench` text must convert into the same
+	// report and the same pair of reports into the same verdicts
+	// (BENCHMARKS.md); the clock has no place in either.
 	"bench": true,
 }
 

@@ -31,9 +31,9 @@ var HotAllocAnalyzer = &Analyzer{
 var hotScopes = map[string]bool{
 	"kernels": true, "costmodel": true, "perf": true, "features": true,
 	"serve": true,
-	// bench: an allocation inside a Measure loop is attributed to the code
-	// under test (allocs/op comes from MemStats deltas), so the harness
-	// itself must not allocate per iteration.
+	// bench: the converter reads every line of a benchmark run, thousands
+	// per report, and the comparator walks every row; neither should
+	// allocate per line or per row beyond the rows it keeps.
 	"bench": true,
 }
 

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -181,6 +182,60 @@ func TestVectorHelpers(t *testing.T) {
 	}
 	if n := Norm2([]float64{3, 4}); n != 5 {
 		t.Errorf("Norm2 = %v", n)
+	}
+}
+
+// naiveNorm2 is the direct sum of squares Norm2 keeps for every input
+// whose sum neither overflows nor underflows to zero.
+func naiveNorm2(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
+}
+
+// TestNorm2 holds Norm2 to the direct sum's bits wherever that sum is
+// finite and nonzero, and to the true norm where the squares leave the
+// float64 range.
+func TestNorm2(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		v := make([]float64, 1+rng.Intn(64))
+		exp := rng.Intn(600) - 300
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(exp+rng.Intn(5)))
+		}
+		want := naiveNorm2(v)
+		if want == 0 || math.IsInf(want, 0) {
+			continue
+		}
+		if got := Norm2(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Norm2(%v) = %v, want the direct sum's %v", v, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		v    []float64
+		want float64
+	}{
+		{"overflow", []float64{1e200, -1e200}, 1.4142135623730951e200},
+		{"underflow", []float64{3e-170, 4e-170}, 5e-170},
+		{"true norm past MaxFloat64", []float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+		{"inf entry", []float64{1, math.Inf(-1)}, math.Inf(1)},
+		{"zeros", []float64{0, math.Copysign(0, -1)}, 0},
+		{"empty", nil, 0},
+	} {
+		if naive := naiveNorm2(tc.v); !math.IsInf(naive, 1) && naive != 0 {
+			t.Fatalf("%s: direct sum %v neither overflows nor underflows", tc.name, naive)
+		}
+		got := Norm2(tc.v)
+		if got != tc.want && math.Abs(got-tc.want) > 1e-15*tc.want {
+			t.Errorf("%s: Norm2 = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := Norm2([]float64{1, math.NaN()}); !math.IsNaN(got) {
+		t.Errorf("Norm2 with a NaN entry = %v, want NaN", got)
 	}
 }
 

@@ -62,11 +62,30 @@ func MaxAbsDiff(a, b []float64) float64 {
 	return max
 }
 
-// Norm2 returns the Euclidean norm of v.
+// Norm2 returns the Euclidean norm of v. It sums squares directly; only
+// when that sum overflows to +Inf, or underflows to 0 while some entry is
+// nonzero, does it recompute with every entry scaled by the largest
+// magnitude, so a finite v whose squares leave the float64 range still has
+// its finite, nonzero norm. Every other input gets the direct sum's bits.
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		s += x * x
 	}
-	return math.Sqrt(s)
+	if math.IsNaN(s) || s > 0 && !math.IsInf(s, 1) {
+		return math.Sqrt(s)
+	}
+	var scale float64
+	for _, x := range v {
+		scale = math.Max(scale, math.Abs(x))
+	}
+	if scale <= 0 || math.IsInf(scale, 1) {
+		return scale
+	}
+	s = 0
+	for _, x := range v {
+		r := x / scale
+		s += r * r
+	}
+	return scale * math.Sqrt(s)
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -290,7 +291,8 @@ func TestSpMVExecPanicAnswered500(t *testing.T) {
 // cannot carry: a product whose y_norm is not finite is refused with 422, an
 // error naming the non-finite result, and a serve.requests_rejected count,
 // never a 5xx. It covers chained iterations that overflow to +Inf, an
-// inline body with an inf value, and the same overflow warm by fingerprint.
+// inline body with an inf value, and the same overflow warm by fingerprint;
+// a finite y whose sum of squares alone overflows is answered 200.
 func TestSpMVNonFiniteAnswered422(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	overflow := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e200\n2 2 1e200\n"
@@ -324,10 +326,11 @@ func TestSpMVNonFiniteAnswered422(t *testing.T) {
 			t.Errorf("%s: serve.responses_unencodable moved by %d, want 0", tc.name, got)
 		}
 	}
-	// One iteration of the 1e200 diagonal leaves y finite, but its sum of
-	// squares overflows: the same rule refuses it, naming y_norm.
-	if status, _, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: overflow}); status != http.StatusUnprocessableEntity || !strings.Contains(raw, "y_norm = +Inf") {
-		t.Fatalf("one iteration: status=%d body=%q, want 422 naming y_norm", status, raw)
+	// One iteration of the 1e200 diagonal leaves y finite; its sum of
+	// squares overflows, but the scaled norm is finite, so it is answered.
+	status, sr, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: overflow})
+	if want := 1.4142135623730951e200; status != http.StatusOK || math.Abs(sr.YNorm-want) > 1e-15*want {
+		t.Fatalf("one iteration: status=%d y_norm=%v body=%q, want 200 with y_norm %v", status, sr.YNorm, raw, want)
 	}
 }
 
